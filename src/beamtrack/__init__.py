@@ -5,11 +5,14 @@ Library layout:
 * :mod:`beamtrack.arrays` -- steering vectors, beamformers, observations,
   likelihood, and the tracking update field.
 * :mod:`beamtrack.crlb` -- Fisher information and Cramer-Rao bounds.
-* :mod:`beamtrack.trackers` -- coarse sweep plus the recursive trackers.
-* :mod:`beamtrack.baselines` -- least squares, compressed sensing,
-  sweep-and-refine, and Kalman-filter references.
+* :mod:`beamtrack.trackers` -- coarse-sweep codebook, dictionary projection
+  and step-size schedules.
 * :mod:`beamtrack.dynamics` -- direction trajectory models.
 * :mod:`beamtrack.analysis` -- convergence theory diagnostics.
+* :mod:`beamtrack.engine` -- the vectorized trial runner, the only
+  implementation of the recursive trackers and of the least-squares,
+  compressed-sensing, sweep-and-refine and Kalman-filter baselines; one
+  trial ``t`` is ``run_chunk(setup, t, t + 1)``.
 * :mod:`beamtrack.harness` -- Monte-Carlo experiments and CSV output.
 * :mod:`beamtrack.cli` -- command-line front end.
 """
@@ -37,13 +40,9 @@ from .harness import ExperimentSpec, run_experiment
 from .trackers import (
     DiminishingStep,
     FixedStep,
-    TrackerState,
     alpha_star,
-    angular_rbt_step,
     coarse_sweep_codebook,
     initial_estimate,
-    rbt_step,
-    run_tracker,
     step_size,
 )
 
@@ -57,9 +56,7 @@ __all__ = [
     "ExperimentSpec",
     "DiminishingStep",
     "FixedStep",
-    "TrackerState",
     "alpha_star",
-    "angular_rbt_step",
     "array_response",
     "asymptotic_channel_crlb",
     "coarse_sweep_codebook",
@@ -72,9 +69,7 @@ __all__ = [
     "max_fisher_information",
     "min_crlb_x",
     "observe",
-    "rbt_step",
     "run_experiment",
-    "run_tracker",
     "steering_vector",
     "step_size",
 ]

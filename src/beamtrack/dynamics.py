@@ -41,6 +41,8 @@ class FixedVelocity:
 
     delta flips exactly when the next step would leave [-bound, +bound], so the
     trajectory is a triangle wave whose fold points depend on the step size.
+    The reversed step lands inside the interval only when omega <= bound, so
+    larger velocities are rejected.
     """
 
     omega: float
@@ -52,6 +54,8 @@ class FixedVelocity:
             raise ValueError(f"omega must be >= 0, got {self.omega!r}")
         if not self.bound > 0:
             raise ValueError(f"bound must be > 0, got {self.bound!r}")
+        if self.omega > self.bound:
+            raise ValueError(f"omega must be <= bound, got {self.omega!r} > {self.bound!r}")
         if abs(self.theta0) > self.bound:
             raise ValueError("theta0 must lie within [-bound, bound]")
 

@@ -21,6 +21,7 @@ worker count.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -36,7 +37,6 @@ from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
 from .engine import ALGORITHMS, BASELINE_ALGORITHMS, ChunkResult, TrialSetup, run_chunk
 from .metrics import METRIC_NAMES, MetricSeries, capacity
 from .trackers import DiminishingStep, FixedStep, alpha_star
-from .metrics import mse_h, rate  # re-exported harness surface  # noqa: F401
 
 KINDS = (
     "static-convergence",
@@ -145,14 +145,24 @@ class ExperimentSpec:
             return dynamics.SinusoidJitter(
                 self.sinusoid_amplitude, self.sinusoid_period, self.sinusoid_jitter_std
             )
-        if self.traj_kind == "fixed-velocity":
-            return dynamics.FixedVelocity(self.omega, self.bound, self.theta0)
-        raise ConfigError(f"traj_kind: unknown value {self.traj_kind!r}")
+        return dynamics.FixedVelocity(self.omega, self.bound, self.theta0)
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
     if spec.kind not in KINDS:
         raise ConfigError(f"kind: unknown experiment kind {spec.kind!r}")
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        for v in value if f.name == "omegas" else (value,):
+            if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                raise ConfigError(f"{f.name}: must be finite, got {v!r}")
+    if not isinstance(spec.seed, (int, np.integer)) or spec.seed < 0:
+        raise ConfigError(f"seed: must be an integer >= 0, got {spec.seed!r}")
+    # 10**(dB/10) overflows past ~3080 dB and underflows to rho = 0 below ~-3230 dB
+    for name in ("snr_db", "stage1_snr_db"):
+        db = getattr(spec, name)
+        if db is not None and not -300.0 <= db <= 300.0:
+            raise ConfigError(f"{name}: must lie in [-300, 300] dB")
     if spec.m_data < 2:
         raise ConfigError("m_data: must be >= 2")
     if spec.m_track is not None and not 2 <= spec.m_track <= spec.m_data:
@@ -182,6 +192,22 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("n0: must be >= 0")
     if spec.m0 is not None and spec.m0 < spec.track_antennas:
         raise ConfigError("m0: must be >= the number of tracking antennas")
+    if spec.traj_kind not in ("sinusoid", "fixed-velocity"):
+        raise ConfigError(f"traj_kind: unknown value {spec.traj_kind!r}")
+    if spec.sinusoid_period < 1:
+        raise ConfigError("sinusoid_period: must be >= 1")
+    if spec.sinusoid_jitter_std < 0:
+        raise ConfigError("sinusoid_jitter_std: must be >= 0")
+    if not spec.bound > 0:
+        raise ConfigError("bound: must be > 0")
+    if abs(spec.theta0) > spec.bound:
+        raise ConfigError("theta0: must lie within [-bound, bound]")
+    # a fixed-velocity triangle wave stays within +-bound only for omega <= bound
+    if spec.omega < 0 or (spec.traj_kind == "fixed-velocity" and spec.omega > spec.bound):
+        raise ConfigError(f"omega: must lie in [0, bound], got {spec.omega!r}")
+    for omega in spec.omegas:
+        if not 0 <= omega <= spec.bound:
+            raise ConfigError(f"omegas: every entry must lie in [0, bound], got {omega!r}")
     if spec.kind == "velocity-sweep" and not spec.omegas:
         raise ConfigError("omegas: velocity-sweep requires at least one omega")
     if spec.schedule not in (None, "diminishing", "fixed"):
@@ -191,6 +217,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.kind == "max-velocity-table":
         if not 0 <= spec.omega_lo < spec.omega_hi:
             raise ConfigError("omega_lo/omega_hi: need 0 <= omega_lo < omega_hi")
+        if spec.omega_hi > spec.bound:
+            raise ConfigError("omega_hi: must be <= bound")
         if not spec.omega_tol > 0:
             raise ConfigError("omega_tol: must be > 0")
         if not spec.pilots_per_sec > 0:

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import (
-    ArrayConfig,
-    BeamformingVector,
-    ChannelState,
-    dirichlet,
-    steering_vector,
-)
+from .arrays import ArrayConfig, dirichlet
 
 
 @dataclass
@@ -46,27 +40,19 @@ def capacity(cfg: ArrayConfig, rho: float) -> float:
     return math.log2(1.0 + rho * cfg.num_antennas)
 
 
-def mse_h(cfg: ArrayConfig, x_hat: float, channel: ChannelState) -> float:
-    """Squared channel-response error ||beta*a(x_hat) - beta*a(x)||_2^2."""
-    diff = channel.beta * (steering_vector(cfg, x_hat) - steering_vector(cfg, channel.x))
-    return float(np.sum(diff.real**2 + diff.imag**2))
-
-
-def rate(cfg: ArrayConfig, w_data: BeamformingVector, channel: ChannelState, rho: float) -> float:
-    """Achievable rate log2(1 + rho*|w^H a(x)|^2) in bits/s/Hz."""
-    resp = np.vdot(w_data.weights, steering_vector(cfg, channel.x))
-    return math.log2(1.0 + rho * (resp.real**2 + resp.imag**2))
-
-
 def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
-    """Closed form of :func:`mse_h`: |beta|^2 * (2M - 2*Re{D_M(phi*(x_hat-x))})."""
+    """Squared channel-response error ||beta*a(x_hat) - beta*a(x)||_2^2.
+
+    Closed form |beta|^2 * (2M - 2*Re{D_M(phi*(x_hat - x))}); vectorized.
+    """
     m = cfg.num_antennas
     psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
     return abs(beta) ** 2 * (2.0 * m - 2.0 * dirichlet(psi, m).real)
 
 
 def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
-    """Rate under the matched data beamformer at x_hat: |w^H a(x)|^2 = |D|^2/M."""
+    """Achievable rate log2(1 + rho*|w^H a(x)|^2) in bits/s/Hz under the
+    matched data beamformer w at x_hat, where |w^H a(x)|^2 = |D_M|^2/M."""
     m = cfg.num_antennas
     psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
     d = dirichlet(psi, m)

@@ -1,34 +1,23 @@
-"""Recursive analog beam tracking: coarse sweep initialization plus the
-spatial-frequency and angular-domain recursions.
+"""Building blocks of the two-stage recursive analog beam tracker.
 
 The tracker runs in two stages.  Stage 1 sweeps a unitary codebook of M
 beams and projects the observations on a redundant direction dictionary to
 obtain an initial estimate.  Stage 2 spends one pilot per slot: it matches
 the beamformer to the current estimate and corrects it with the imaginary
-part of the observation, optionally clamped to the valid domain.
+part of the observation, scaled by a step size and clamped to the valid
+domain.  This module holds the codebook, the dictionary projection and the
+step-size schedules; the slot recursions run in :mod:`beamtrack.engine`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from . import dynamics
-from .arrays import (
-    ArrayConfig,
-    BeamformingVector,
-    ChannelState,
-    SnrConfig,
-    conjugate_beamformer,
-    observe,
-    steering_vector,
-)
-from .metrics import MetricSeries, aoa_error_deg, mse_h, rate
-
-COS_GUARD = 1e-6
+from .arrays import ArrayConfig, BeamformingVector, conjugate_beamformer
 
 
 @dataclass(frozen=True)
@@ -74,17 +63,6 @@ def alpha_star(cfg: ArrayConfig) -> float:
     return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * cfg.spacing_ratio)
 
 
-@dataclass(frozen=True)
-class TrackerState:
-    """Current estimate (x_hat, or theta_hat for the angular variant), slot
-    counter, and step-size schedule."""
-
-    estimate: float
-    slot: int
-    schedule: StepSizeSchedule
-    degenerate: bool = False
-
-
 def codebook_directions(cfg: ArrayConfig) -> np.ndarray:
     """Sweep directions 2m/M - (M+1)/M for m = 1..M, symmetric about 0."""
     m = cfg.num_antennas
@@ -111,125 +89,20 @@ def initial_dictionary(m0: int) -> np.ndarray:
     return (2.0 * np.arange(1, m0 + 1) - 1.0 - m0) / m0
 
 
-def initial_estimate(cfg: ArrayConfig, sweep_obs: Sequence[complex], m0: int) -> float:
+def initial_estimate(cfg: ArrayConfig, sweep_obs, m0: int):
     """Project sweep observations on the dictionary and pick the best match.
 
-    Returns argmax over the dictionary of |a(x)^H W y|; ties break toward
-    the smallest dictionary entry.
+    ``sweep_obs`` holds one observation per codebook beam: shape (M,) for one
+    trial, or (T, M) for a block of trials.  Returns argmax over the
+    dictionary of |a(x)^H W y| per trial, a scalar or a (T,) array; ties break
+    toward the smallest dictionary entry.
     """
     y = np.asarray(sweep_obs, dtype=complex)
-    if y.shape != (cfg.num_antennas,):
+    if y.ndim not in (1, 2) or y.shape[-1] != cfg.num_antennas:
         raise ValueError("expected one observation per codebook beam")
     if m0 < cfg.num_antennas:
         raise ValueError(f"m0 must be >= M, got {m0!r}")
     grid = initial_dictionary(m0)
     atoms = np.exp(-1j * cfg.phase_factor * np.outer(cfg.antenna_indices, grid))
-    scores = np.abs(atoms.conj().T @ (sweep_matrix(cfg) @ y))
-    return float(grid[int(np.argmax(scores))])
-
-
-def run_coarse_sweep(
-    cfg: ArrayConfig,
-    channel: ChannelState,
-    snr: SnrConfig,
-    rng: np.random.Generator | None,
-    m0: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Stage 1: receive M pilots through the codebook, return (obs, x0_hat)."""
-    if m0 is None:
-        m0 = 2 * cfg.num_antennas
-    obs = np.array(
-        [observe(cfg, w, channel, snr, rng) for w in coarse_sweep_codebook(cfg)],
-        dtype=complex,
-    )
-    return obs, initial_estimate(cfg, obs, m0)
-
-
-def rbt_step(state: TrackerState, y: complex) -> TrackerState:
-    """One spatial-frequency update: x_hat -= a_n * Im{y}, clamped to [-1, 1].
-
-    The observation must have been taken with the matched beamformer at the
-    previous estimate.
-    """
-    n = state.slot + 1
-    a_n = step_size(state.schedule, n)
-    est = min(max(state.estimate - a_n * y.imag, -1.0), 1.0)
-    return replace(state, estimate=est, slot=n, degenerate=False)
-
-
-def angular_rbt_step(state: TrackerState, y: complex, cfg: ArrayConfig) -> TrackerState:
-    """One angular-domain update: theta_hat -= a_n/cos(theta_hat) * Im{y}.
-
-    When |cos(theta_hat)| < 1e-6 the gain is degenerate: the returned state is
-    flagged and the division uses the guard bound instead of the raw cosine,
-    which keeps the update finite while preserving the unstable oscillation
-    this variant exhibits near +-pi/2.
-    """
-    n = state.slot + 1
-    c = math.cos(state.estimate)
-    degenerate = abs(c) < COS_GUARD
-    gain = math.copysign(max(abs(c), COS_GUARD), c if c != 0.0 else 1.0)
-    a_n = step_size(state.schedule, n)
-    half_pi = 0.5 * math.pi
-    est = min(max(state.estimate - (a_n / gain) * y.imag, -half_pi), half_pi)
-    return replace(state, estimate=est, slot=n, degenerate=degenerate)
-
-
-def run_tracker(
-    cfg: ArrayConfig,
-    snr: SnrConfig,
-    trajectory: dynamics.TrajectoryModel,
-    schedule: StepSizeSchedule,
-    n_slots: int,
-    rng: np.random.Generator | None,
-    beta: complex = 1.0 + 0.0j,
-    x0_hat: float | None = None,
-    algorithm: str = "recursive",
-    data_cfg: ArrayConfig | None = None,
-    m0: int | None = None,
-) -> MetricSeries:
-    """Run one tracking trial and record per-slot metrics.
-
-    Per slot: form the matched beamformer from the current estimate, draw one
-    observation of the (possibly moving) channel, apply the recursion, then
-    score the updated estimate.  ``data_cfg`` lets a larger array carry data
-    while ``cfg`` does the tracking.  When ``x0_hat`` is None a coarse sweep
-    at the initial direction supplies it.
-
-    The generator should be dedicated to this trial; with a shared seed
-    derivation, identical seeds reproduce the series bit for bit.
-    """
-    if algorithm not in ("recursive", "angular"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
-    data_cfg = data_cfg or cfg
-
-    theta0 = dynamics.initial_theta(trajectory)
-    if x0_hat is None:
-        _, x0_hat = run_coarse_sweep(cfg, ChannelState(math.sin(theta0), beta), snr, rng, m0)
-
-    est0 = math.asin(min(max(x0_hat, -1.0), 1.0)) if algorithm == "angular" else x0_hat
-    state = TrackerState(estimate=est0, slot=0, schedule=schedule)
-
-    slots = np.arange(1, n_slots + 1)
-    out = {name: np.empty(n_slots) for name in ("mse_h", "mse_x", "aoa_error_deg", "rate")}
-    traj_state = None
-    for n in range(1, n_slots + 1):
-        theta_n, x_n, traj_state = dynamics.advance(trajectory, n, rng, traj_state)
-        channel = ChannelState(x_n, beta)
-        v = math.sin(state.estimate) if algorithm == "angular" else state.estimate
-        w = conjugate_beamformer(cfg, v)
-        y = observe(cfg, w, channel, snr, rng)
-        if algorithm == "angular":
-            state = angular_rbt_step(state, y, cfg)
-            x_hat = math.sin(state.estimate)
-        else:
-            state = rbt_step(state, y)
-            x_hat = state.estimate
-        w_data = conjugate_beamformer(data_cfg, x_hat)
-        out["mse_h"][n - 1] = mse_h(data_cfg, x_hat, channel)
-        out["mse_x"][n - 1] = (x_hat - x_n) ** 2
-        out["aoa_error_deg"][n - 1] = aoa_error_deg(x_hat, theta_n)
-        out["rate"][n - 1] = rate(data_cfg, w_data, channel, snr.rho)
-    return MetricSeries(slots=slots, n_trials=1, **out)
+    scores = np.abs((atoms.conj().T @ sweep_matrix(cfg)) @ y.T)  # (M0,) or (M0, T)
+    return grid[np.argmax(scores, axis=0)]

@@ -3,210 +3,152 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack import dynamics
-from beamtrack.arrays import (
-    ArrayConfig,
-    ChannelState,
-    SnrConfig,
-    array_response,
-    steering_vector,
-)
-from beamtrack.baselines import (
-    KF_OFFSET_RAD,
-    cs_dictionary,
-    cs_update,
-    kf_update,
-    ls_update,
-    make_cs_state,
-    make_kf_state,
-    make_ls_state,
-    make_wlan_state,
-    wlan_probe_index,
-    wlan_update,
-)
-from beamtrack.engine import TrialSetup, run_chunk
+from beamtrack import dynamics, engine
+from beamtrack.arrays import ArrayConfig
+from beamtrack.engine import ALGORITHMS, KF_OFFSET_RAD, TrialSetup, cs_dictionary, run_chunk
 from beamtrack.trackers import DiminishingStep, alpha_star, codebook_directions
+
+import reference
 
 PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
 CFG = ArrayConfig(16, 0.5)
-NOISELESS = SnrConfig(pilot=PILOT, rho=10.0, no_noise=True)
+DIRS = codebook_directions(CFG)
+# a stationary FixedVelocity is a moving-trajectory model: LS keeps only the
+# last M pilots (window mode) instead of averaging every sweep
+WINDOW_037 = dynamics.FixedVelocity(0.0, theta0=math.asin(0.37))
 
 
-def run_ls_sweeps(cfg, snr, channel, rng, n_sweeps=1, mode="window"):
-    state = make_ls_state(cfg, mode=mode)
-    w = None
-    for slot in range(1, n_sweeps * cfg.num_antennas + 1):
-        state, w = ls_update(cfg, snr, channel, state, slot, rng)
-    return state, w
+def setup16(algorithm, **over):
+    """A noise-free run of one baseline on 16 antennas."""
+    kw = dict(
+        algorithm=algorithm, cfg_track=CFG, cfg_data=CFG, rho=10.0, stage1_rho=10.0,
+        beta=BETA, pilot=PILOT, no_noise=True, schedule=DiminishingStep(alpha_star(CFG)),
+        model=dynamics.Static(0.3), n_slots=1, m0=32, base_seed=0,
+    )
+    kw.update(over)
+    return TrialSetup(**kw)
+
+
+def finals(setup, trials=1):
+    return run_chunk(setup, 0, trials, collect=("final_estimate",)).extras["final_estimate"]
+
+
+def mean_mse_h(setup, trials):
+    return run_chunk(setup, 0, trials).sums["mse_h"] / trials
 
 
 class TestLeastSquares:
-    def test_noise_free_exact(self):
-        ch = ChannelState(0.3, BETA)
-        state, w = run_ls_sweeps(CFG, NOISELESS, ch, None)
-        h = BETA * steering_vector(CFG, 0.3)
-        np.testing.assert_allclose(state.h_hat, h, atol=1e-10)
-        # data beamformer matches the conjugate beamformer up to a global phase
-        resp = array_response(w, CFG, 0.3)
-        assert abs(resp) == pytest.approx(math.sqrt(16), abs=1e-9)
-        assert math.log2(1 + 10.0 * abs(resp) ** 2) == pytest.approx(math.log2(1 + 160), rel=1e-9)
+    # E||h_hat - h||^2 = M*|beta|^2/rho for one sweep of M pilots (unitary codebook)
+    ONE_SWEEP_FLOOR = 16 * abs(BETA) ** 2 / 10.0
 
-    def test_insufficient_pilots_reported(self):
-        ch = ChannelState(0.3, BETA)
-        state = make_ls_state(CFG, fallback_direction=0.25)
-        state, w = ls_update(CFG, NOISELESS, ch, state, 1, None)
-        assert state.insufficient_pilots
-        assert state.h_hat is None
-        # meanwhile the stage-1 direction steers the data beam
-        assert array_response(w, CFG, 0.25) == pytest.approx(math.sqrt(16), abs=1e-9)
+    def test_noise_free_exact(self):
+        res = run_chunk(setup16("ls", n_slots=16), 0, 1)
+        assert res.sums["mse_h"] == pytest.approx(0.0, abs=1e-18)
+        # the data beam attains the capacity from the first slot
+        np.testing.assert_allclose(res.sums["rate"], math.log2(1 + 160), rtol=1e-9)
 
     def test_window_noise_floor(self):
-        # analytic LS covariance: E||h_hat - h||^2 = M*sigma^2/|p|^2 per sweep
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        ch = ChannelState(0.37, BETA)
-        h = BETA * steering_vector(CFG, 0.37)
-        rng = np.random.default_rng(0)
-        total = 0.0
-        sweeps = 1500
-        for _ in range(sweeps):
-            state, _ = run_ls_sweeps(CFG, snr, ch, rng)
-            total += float(np.sum(np.abs(state.h_hat - h) ** 2))
-        sigma2 = abs(PILOT * BETA) ** 2 / 10.0
-        assert total / sweeps == pytest.approx(16 * sigma2 / abs(PILOT) ** 2, rel=0.05)
+        s = setup16("ls", no_noise=False, model=WINDOW_037, n_slots=32)
+        assert mean_mse_h(s, 200).mean() == pytest.approx(self.ONE_SWEEP_FLOOR, rel=0.05)
 
     def test_all_mode_averages_sweeps(self):
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        ch = ChannelState(0.37, BETA)
-        h = BETA * steering_vector(CFG, 0.37)
-        rng = np.random.default_rng(1)
-        errs = []
-        for k in (1, 8):
-            total = 0.0
-            for _ in range(150):
-                state, _ = run_ls_sweeps(CFG, snr, ch, rng, n_sweeps=k, mode="all")
-                total += float(np.sum(np.abs(state.h_hat - h) ** 2))
-            errs.append(total / 150)
-        assert errs[1] == pytest.approx(errs[0] / 8, rel=0.35)
+        # static: the stage-1 sweep plus k pilots per beam average 1 + k sweeps
+        s = setup16("ls", no_noise=False, model=dynamics.Static(0.37), n_slots=128)
+        mse = mean_mse_h(s, 200)
+        assert mse[15] == pytest.approx(self.ONE_SWEEP_FLOOR / 2, rel=0.1)
+        assert mse[127] == pytest.approx(self.ONE_SWEEP_FLOOR / 9, rel=0.1)
 
     def test_seeded_determinism(self):
-        snr = SnrConfig(pilot=PILOT, rho=5.0)
-        ch = ChannelState(-0.2, BETA)
-        s1, _ = run_ls_sweeps(CFG, snr, ch, np.random.default_rng(3))
-        s2, _ = run_ls_sweeps(CFG, snr, ch, np.random.default_rng(3))
-        np.testing.assert_array_equal(s1.h_hat, s2.h_hat)
+        s = setup16("ls", no_noise=False, rho=5.0, model=dynamics.Static(-0.2), n_slots=20, base_seed=3)
+        r1, r2 = run_chunk(s, 0, 3), run_chunk(s, 0, 3)
+        np.testing.assert_array_equal(r1.sums["mse_h"], r2.sums["mse_h"])
 
 
 class TestCompressedSensing:
     def test_noise_free_on_atom_exact_recovery(self):
-        grid = cs_dictionary()
-        x_atom = float(grid[700])
-        ch = ChannelState(x_atom, BETA)
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            state = make_cs_state(window=8)
-            for slot in range(1, 9):
-                state, x_hat, _ = cs_update(CFG, NOISELESS, ch, state, slot, rng)
-            assert x_hat == x_atom
+        x_atom = float(cs_dictionary()[700])
+        # ten trials, ten random probe sequences
+        est = finals(setup16("cs", model=dynamics.Static(x_atom), n_slots=8), trials=10)
+        np.testing.assert_array_equal(est, x_atom)
 
     def test_quantization_floor(self):
         # noise-free off-grid directions: mean squared error is at least the
         # uniform-quantization bound of the 1024-atom grid
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(-0.99, 0.99, 600)
-        errs = []
-        for x in xs:
-            ch = ChannelState(float(x), BETA)
-            state = make_cs_state(window=4)
-            for slot in range(1, 5):
-                state, x_hat, _ = cs_update(CFG, NOISELESS, ch, state, slot, rng)
-            errs.append((x_hat - x) ** 2)
-        errs = np.asarray(errs)
+        s = setup16("cs", model=None, n_slots=4, base_seed=5)
+        res = run_chunk(s, 0, 600, collect=("final_estimate", "final_x"))
+        errs = (res.extras["final_estimate"] - res.extras["final_x"]) ** 2
         bound = (2 / 1024) ** 2 / 12
         assert errs.mean() >= bound - 3 * errs.std() / math.sqrt(errs.size)
 
     def test_estimate_in_range(self):
-        snr = SnrConfig(pilot=PILOT, rho=0.5)
-        rng = np.random.default_rng(8)
-        ch = ChannelState(0.93, BETA)
-        state = make_cs_state(window=8)
-        for slot in range(1, 30):
-            state, x_hat, w = cs_update(CFG, snr, ch, state, slot, rng)
-            assert -1.0 <= x_hat <= 1.0
-            np.testing.assert_allclose(np.abs(w.weights), 0.25, atol=1e-12)
-
-    def test_window_bounded(self):
-        snr = SnrConfig(pilot=PILOT, rho=1.0)
-        rng = np.random.default_rng(2)
-        ch = ChannelState(0.0, BETA)
-        state = make_cs_state(window=8)
-        for slot in range(1, 40):
-            state, _, _ = cs_update(CFG, snr, ch, state, slot, rng)
-        assert len(state.obs) == 8 and len(state.probes) == 8
+        for n_slots in (1, 29):
+            s = setup16("cs", no_noise=False, rho=0.5, model=dynamics.Static(0.93), n_slots=n_slots)
+            est = finals(s, trials=20)
+            assert np.all((-1.0 <= est) & (est <= 1.0))
 
 
 class TestWlanSweepRefine:
     def test_noise_free_static_locks_nearest(self):
-        dirs = codebook_directions(CFG)
         x = 0.3
-        best0 = int(np.argmin(np.abs(dirs - x)))
-        state = make_wlan_state(best=best0)
-        ch = ChannelState(x, BETA)
-        for slot in range(1, 31):
-            state, w = wlan_update(CFG, NOISELESS, ch, state, slot, None)
-            assert state.best == best0
-        assert abs(dirs[state.best] - x) <= 1.0 / 16
+        nearest = DIRS[np.argmin(np.abs(DIRS - x))]
+        res = run_chunk(setup16("wlan", model=dynamics.Static(x), n_slots=30), 0, 1)
+        # the same beam in every slot
+        np.testing.assert_array_equal(res.sums["mse_x"], (nearest - x) ** 2)
+        assert abs(nearest - x) <= 1.0 / 16
 
     def test_recovers_after_bad_init(self):
-        dirs = codebook_directions(CFG)
+        # a noisy sweep (-13 dB) often picks a beam next to the nearest one;
+        # noise-free-like refinement (60 dB) moves it there within one period
         x = 0.3
-        best0 = int(np.argmin(np.abs(dirs - x)))
-        state = make_wlan_state(best=best0 + 1)
-        ch = ChannelState(x, BETA)
-        for slot in range(1, 10):
-            state, _ = wlan_update(CFG, NOISELESS, ch, state, slot, None)
-        assert state.best == best0
+        nearest = DIRS[np.argmin(np.abs(DIRS - x))]
+        kw = dict(no_noise=False, stage1_rho=0.05, rho=1e6, model=dynamics.Static(x), base_seed=6)
+        init = finals(setup16("wlan", n_slots=1, **kw), trials=100)  # no re-pick yet
+        after = finals(setup16("wlan", n_slots=9, **kw), trials=100)
+        adjacent = np.isclose(np.abs(init - nearest), 2.0 / 16)
+        assert adjacent.sum() >= 5
+        np.testing.assert_array_equal(after[adjacent], nearest)
 
     def test_boundary_probes_clip(self):
-        import dataclasses
-
-        m = CFG.num_antennas
-        lo = {wlan_probe_index(dataclasses.replace(make_wlan_state(best=0), phase=p), m) for p in range(3)}
-        assert lo == {0, 1}
-        hi = {wlan_probe_index(dataclasses.replace(make_wlan_state(best=m - 1), phase=p), m) for p in range(3)}
-        assert hi == {m - 2, m - 1}
+        # the probes of an edge beam clip to the codebook instead of wrapping
+        # around (or running off the end)
+        for x, edge in ((0.99, DIRS[-1]), (-0.99, DIRS[0])):
+            res = run_chunk(setup16("wlan", model=dynamics.Static(x), n_slots=30), 0, 1)
+            np.testing.assert_array_equal(res.sums["mse_x"], (edge - x) ** 2)
 
     def test_period_respected(self):
-        state = make_wlan_state(best=5, period=3)
-        ch = ChannelState(0.1, BETA)
-        rng = np.random.default_rng(0)
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        bests = []
-        for slot in range(1, 10):
-            state, _ = wlan_update(CFG, snr, ch, state, slot, rng)
-            bests.append(state.best)
-        # best may change only at the end of each 3-slot period
-        assert bests[0] == bests[1] == 5
+        # the best beam may change only at the end of each 3-slot period
+        # (a noisy -13 dB sweep starts many trials off the best beam)
+        kw = dict(no_noise=False, stage1_rho=0.05, model=dynamics.Static(0.125), base_seed=0)
+        est = {n: finals(setup16("wlan", n_slots=n, **kw), trials=20) for n in range(1, 6)}
+        np.testing.assert_array_equal(est[1], est[2])
+        np.testing.assert_array_equal(est[3], est[4])
+        np.testing.assert_array_equal(est[3], est[5])
+        assert (est[3] != est[2]).any()
 
 
 class TestKalman:
     def test_noise_free_fixed_point(self):
-        theta = 0.4
-        ch = ChannelState(math.sin(theta), BETA)
-        state = make_kf_state(theta0=theta, q=0.0)
-        for slot in range(1, 20):
-            state, theta_hat, _ = kf_update(CFG, NOISELESS, ch, state, slot, None)
-            assert theta_hat == pytest.approx(theta, abs=1e-12)
+        s = setup16("kf", model=dynamics.Static(math.sin(0.4)), x0_mode="true", kf_q=0.0, n_slots=19)
+        aoa_deg = run_chunk(s, 0, 1).sums["aoa_error_deg"]
+        assert np.all(aoa_deg <= math.degrees(1e-12))
 
-    def test_probe_offsets_alternate(self):
+    def test_probe_offsets_alternate(self, monkeypatch):
         assert KF_OFFSET_RAD == pytest.approx(math.radians(3.5))
-        state = make_kf_state(theta0=0.0)
-        assert state.phase == 0
-        ch = ChannelState(0.0, BETA)
-        state2, _, _ = kf_update(CFG, NOISELESS, ch, state, 1, None)
-        assert state2.phase == 1
-        state3, _, _ = kf_update(CFG, NOISELESS, ch, state2, 2, None)
-        assert state3.phase == 0
+        # the EKF linearizes at its probe: weighted_dirichlet(phi*(v_probe - x_pred))
+        psis = []
+        original = engine.weighted_dirichlet
+
+        def recording(psi, m):
+            psis.append(float(psi[0]))
+            return original(psi, m)
+
+        monkeypatch.setattr(engine, "weighted_dirichlet", recording)
+        x = math.sin(0.2)
+        run_chunk(setup16("kf", model=dynamics.Static(x), x0_mode="true", kf_q=0.0, n_slots=4), 0, 1)
+        theta = math.asin(x)  # noise-free at the truth: the estimate stays here
+        offsets = np.arcsin(np.array(psis) / CFG.phase_factor + math.sin(theta)) - theta
+        np.testing.assert_allclose(offsets, KF_OFFSET_RAD * np.array([1, -1, 1, -1]), atol=1e-12)
 
     def test_static_mse_decreases(self):
         # Monte-Carlo mean squared AoA error shrinks over the first 50 slots
@@ -223,100 +165,61 @@ class TestKalman:
         checkpoints = mse[[0, 9, 19, 34, 49]]
         assert np.all(np.diff(checkpoints) < 0)
 
-    def test_divergence_flagged(self):
-        state = make_kf_state(theta0=1.5707, q=0.0, p0=1e-2)
-        ch = ChannelState(0.0, BETA)
-        rng = np.random.default_rng(0)
-        snr = SnrConfig(pilot=PILOT, rho=0.01)
-        for slot in range(1, 200):
-            state, theta_hat, _ = kf_update(CFG, snr, ch, state, slot, rng)
-            assert abs(theta_hat) <= math.pi / 2
-        # heavy noise at the domain edge eventually pins and flags the filter
-        assert isinstance(state.diverged, bool)
+    def test_divergence_matches_reference(self):
+        # heavy noise (-20 dB) with the estimate started at the domain edge.
+        # Without process noise the filter freezes there; with it the
+        # estimate is often pinned at +-pi/2, and q = 2e6 keeps the predicted
+        # variance above KF_P_VAR_MAX on every slot.  The engine and the
+        # reference clip the same way.
+        for q in (0.0, 1e-3, 2e6):
+            s = setup16(
+                "kf", no_noise=False, rho=0.01, stage1_rho=0.01, model=dynamics.Static(0.0),
+                x0_mode="fixed", x0_value=math.sin(1.5707), kf_q=q, kf_p0=1e-2, n_slots=199,
+            )
+            res = run_chunk(s, 0, 4, collect=("final_estimate",))
+            replays = [reference.replay(s, t) for t in range(4)]
+            np.testing.assert_allclose(res.extras["final_estimate"], [f for _, f in replays], atol=1e-9)
+            aoa = np.stack([series["aoa_error_deg"] for series, _ in replays])
+            np.testing.assert_allclose(res.sums["aoa_error_deg"], aoa.sum(axis=0), rtol=1e-9)
+            assert np.all(aoa <= 90.0 + 1e-9)
+            if q > 0:
+                assert np.isclose(aoa, 90.0, atol=1e-9).mean() > 0.25
 
     def test_seeded_determinism(self):
-        ch = ChannelState(0.2, BETA)
-        snr = SnrConfig(pilot=PILOT, rho=5.0)
-        outs = []
-        for _ in range(2):
-            rng = np.random.default_rng(12)
-            state = make_kf_state(theta0=0.1)
-            for slot in range(1, 30):
-                state, theta_hat, _ = kf_update(CFG, snr, ch, state, slot, rng)
-            outs.append(theta_hat)
-        assert outs[0] == outs[1]
+        s = setup16("kf", no_noise=False, rho=5.0, model=dynamics.Static(0.2), n_slots=29, base_seed=12)
+        np.testing.assert_array_equal(finals(s, 3), finals(s, 3))
 
 
 class TestPilotParity:
-    def test_one_pilot_per_slot(self):
-        # every baseline consumes exactly one complex observation per update
-        class CountingRng:
-            def __init__(self, seed):
-                self._rng = np.random.default_rng(seed)
-                self.normal_draws = 0
+    def test_one_pilot_per_slot(self, monkeypatch):
+        # each trial's noise stream advances by exactly 2 normals per complex
+        # sample: M stage-1 sweep pilots, the CS warm-up (M/2 on a moving
+        # trajectory), then one pilot per slot
+        original = engine.trial_streams
+        noise_streams = []
 
-            def standard_normal(self, *args, **kwargs):
-                out = self._rng.standard_normal(*args, **kwargs)
-                self.normal_draws += np.size(out)
-                return out
+        def recording(base_seed, trial):
+            streams = original(base_seed, trial)
+            noise_streams.append((base_seed, trial, streams[1]))
+            return streams
 
-            def integers(self, *args, **kwargs):
-                return self._rng.integers(*args, **kwargs)
-
-        ch = ChannelState(0.2, BETA)
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-
-        rng = CountingRng(0)
-        state = make_ls_state(CFG)
-        state, _ = ls_update(CFG, snr, ch, state, 1, rng)
-        assert rng.normal_draws == 2
-
-        rng = CountingRng(0)
-        state = make_cs_state(window=8)
-        state, _, _ = cs_update(CFG, snr, ch, state, 1, rng)
-        assert rng.normal_draws == 2
-
-        rng = CountingRng(0)
-        state = make_wlan_state(best=3)
-        state, _ = wlan_update(CFG, snr, ch, state, 1, rng)
-        assert rng.normal_draws == 2
-
-        rng = CountingRng(0)
-        state = make_kf_state(theta0=0.1)
-        state, _, _ = kf_update(CFG, snr, ch, state, 1, rng)
-        assert rng.normal_draws == 2
-
-    def test_data_beamformers_unit_modulus(self):
-        ch = ChannelState(0.2, BETA)
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        rng = np.random.default_rng(1)
-        mod = 1 / math.sqrt(16)
-
-        state = make_ls_state(CFG)
-        for slot in range(1, 18):
-            state, w = ls_update(CFG, snr, ch, state, slot, rng)
-            np.testing.assert_allclose(np.abs(w.weights), mod, atol=1e-12)
-
-        state = make_kf_state(theta0=0.1)
-        for slot in range(1, 6):
-            state, _, w = kf_update(CFG, snr, ch, state, slot, rng)
-            np.testing.assert_allclose(np.abs(w.weights), mod, atol=1e-12)
+        monkeypatch.setattr(engine, "trial_streams", recording)
+        m, n = CFG.num_antennas, 5
+        for algorithm in ALGORITHMS:
+            for model, moving in ((dynamics.Static(0.2), False), (dynamics.FixedVelocity(0.01), True)):
+                noise_streams.clear()
+                run_chunk(setup16(algorithm, no_noise=False, model=model, n_slots=n), 0, 3)
+                warm = m // 2 if algorithm == "cs" and moving else 0
+                assert len(noise_streams) == 3
+                for base_seed, trial, rng in noise_streams:
+                    fresh = original(base_seed, trial)[1]
+                    fresh.standard_normal(2 * (m + warm + n))
+                    assert rng.bit_generator.state == fresh.bit_generator.state, (algorithm, moving)
 
 
 class TestLsWindowModeFloor:
     def test_no_improvement_with_more_sweeps(self):
         # the sliding window forgets old pilots, so the error stays at the
         # one-sweep floor no matter how long it runs
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        ch = ChannelState(0.37, BETA)
-        h = BETA * steering_vector(CFG, 0.37)
-        rng = np.random.default_rng(7)
-        means = []
-        for sweeps in (1, 6):
-            total = 0.0
-            reps = 400
-            for _ in range(reps):
-                state, _ = run_ls_sweeps(CFG, snr, ch, rng, n_sweeps=sweeps, mode="window")
-                total += float(np.sum(np.abs(state.h_hat - h) ** 2))
-            means.append(total / reps)
-        assert means[1] == pytest.approx(means[0], rel=0.15)
+        mse = mean_mse_h(setup16("ls", no_noise=False, model=WINDOW_037, n_slots=96, base_seed=7), 300)
+        assert mse[95] == pytest.approx(mse[15], rel=0.15)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.cli import main
 
@@ -96,6 +101,67 @@ class TestConfigHandling:
         code, out, _ = run_cli(capsys, "theory", "--m", "8", "--snr-db", "10")
         assert code == 0
         assert re.search(r"seed = \d+", out)
+
+
+BOUND = math.pi / 3  # ExperimentSpec's default trajectory bound
+_FLOAT_FIELDS = (
+    "spacing_ratio", "snr_db", "stage1_snr_db", "alpha", "n0", "x", "sinusoid_amplitude",
+    "sinusoid_jitter_std", "omega", "bound", "theta0", "omega_lo", "omega_hi", "omega_tol",
+    "pilots_per_sec", "rate_fraction", "kf_q", "kf_p0", "x0_hat", "delta",
+)
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NEGATIVE = st.floats(max_value=-1e-9, allow_infinity=False)
+_ABOVE_BOUND = st.floats(min_value=BOUND * (1 + 1e-9), max_value=100.0)
+_OUT_OF_DB_RANGE = st.floats(min_value=300.001, max_value=1e6) | st.floats(min_value=-1e6, max_value=-300.001)
+
+
+def _bad_field_cases():
+    """(subcommand, field, bad value): one invalid field in an otherwise valid spec."""
+    def case(command, field, values):
+        return st.tuples(st.just(command), st.just(field), values)
+
+    bad_omegas = st.tuples(
+        st.lists(st.floats(min_value=0.0, max_value=BOUND), max_size=2),
+        _NEGATIVE | _ABOVE_BOUND | _NONFINITE,
+    ).map(lambda t: t[0] + [t[1]])
+    return st.one_of(
+        [case("static", f, _NONFINITE) for f in _FLOAT_FIELDS]
+        + [
+            case("static", "pilot", _NONFINITE.map(lambda v: [v, 0.0])),
+            case("static", "beta", _NONFINITE.map(lambda v: [0.5, v])),
+            case("static", "seed", st.integers(max_value=-1)),
+            case("static", "snr_db", _OUT_OF_DB_RANGE),
+            case("static", "stage1_snr_db", _OUT_OF_DB_RANGE),
+            case("dynamic", "omega", _NEGATIVE | _ABOVE_BOUND),
+            case("sweep", "omegas", bad_omegas),
+            case("table1", "omega_hi", _ABOVE_BOUND),
+            case("dynamic", "bound", st.floats(max_value=0.0, allow_infinity=False)),
+            case("dynamic", "theta0", _ABOVE_BOUND | _ABOVE_BOUND.map(lambda v: -v)),
+            case("dynamic", "traj_kind", st.sampled_from(["", "circle", "Sinusoid"])),
+            case("dynamic", "sinusoid_period", st.integers(max_value=0)),
+            case("dynamic", "sinusoid_jitter_std", _NEGATIVE),
+        ]
+    )
+
+
+class TestInvalidSpecFuzz:
+    @given(_bad_field_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_one_bad_field_exits_2_naming_it(self, bad):
+        command, field, value = bad
+        config = {"m_data": 4, "n_trials": 2, "n_slots": 3, "seed": 1, "omegas": [0.01]}
+        if command == "dynamic" and field != "traj_kind":
+            config["traj_kind"] = "fixed-velocity"
+        config[field] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", path])
+        assert code == 2, (command, field, value, err.getvalue())
+        assert field in err.getvalue()
 
 
 class TestRunCommands:

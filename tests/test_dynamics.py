@@ -61,12 +61,20 @@ class TestFixedVelocity:
         assert np.all(theta == 0.0)
         assert np.all(x == 0.0)
 
-    @given(st.floats(min_value=1e-4, max_value=0.8))
-    @settings(max_examples=40, deadline=None)
-    def test_never_exceeds_bound_by_more_than_omega(self, omega):
-        model = FixedVelocity(omega, bound=math.pi / 3)
-        theta, x = trajectory(model, 300)
-        assert np.all(np.abs(theta) <= math.pi / 3 + omega + 1e-12)
+    @given(
+        st.floats(min_value=1e-4, max_value=math.pi),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_never_exceeds_bound_by_more_than_omega(self, omega, start):
+        # a reversed step lands inside [-bound, bound] only when omega <= bound
+        bound = math.pi / 3
+        if omega > bound:
+            with pytest.raises(ValueError):
+                FixedVelocity(omega, bound=bound, theta0=start * bound)
+            return
+        theta, x = trajectory(FixedVelocity(omega, bound=bound, theta0=start * bound), 300)
+        assert np.all(np.abs(theta) <= bound + 1e-12)
         assert np.all(np.abs(x) <= 1.0)
 
     def test_advance_matches_trajectory(self):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from beamtrack import dynamics
-from beamtrack.arrays import ArrayConfig, SnrConfig
-from beamtrack.engine import TrialSetup, run_chunk, trial_streams
-from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star, run_tracker
+from beamtrack.arrays import ArrayConfig
+from beamtrack.engine import TrialSetup, run_chunk
+from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star
+
+import reference
 
 PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
@@ -36,27 +38,16 @@ def base_setup(**over):
 class TestOpLevelParity:
     @pytest.mark.parametrize("algorithm", ["recursive", "angular"])
     def test_tracker_matches_per_trial_runner(self, algorithm):
-        # the vectorized slot loop reproduces run_tracker trial by trial when
-        # fed the same per-trial noise stream
+        # the vectorized slot loop reproduces the scalar reference trial by
+        # trial when fed the same per-trial noise stream
         setup = base_setup(algorithm=algorithm)
         n_trials = 8
         res = run_chunk(setup, 0, n_trials)
         sums = {k: np.zeros(setup.n_slots) for k in res.sums}
         for t in range(n_trials):
-            _, noise_rng, _ = trial_streams(setup.base_seed, t)
-            series = run_tracker(
-                CFG8,
-                SnrConfig(pilot=PILOT, rho=10.0),
-                dynamics.Static(0.35),
-                setup.schedule,
-                setup.n_slots,
-                noise_rng,
-                beta=BETA,
-                algorithm=algorithm,
-                m0=16,
-            )
+            series, _ = reference.replay(setup, t)
             for k in sums:
-                sums[k] += series.metric(k)
+                sums[k] += series[k]
         for k in sums:
             np.testing.assert_allclose(res.sums[k], sums[k], rtol=1e-8, atol=1e-10)
 
@@ -161,69 +152,25 @@ class TestExcursionTracking:
 
 
 class TestBaselineStreamParity:
-    """The vectorized baselines reproduce the per-slot update functions when
-    fed the same per-trial noise stream (p*beta = 1 makes the raw and
-    normalized pilot domains coincide)."""
-
-    def _stage1(self, trial, setup):
-        # replay the engine's stage-1 draws for one trial
-        from beamtrack.arrays import matched_response
-        from beamtrack.trackers import codebook_directions, initial_estimate
-
-        _, noise_rng, _ = trial_streams(setup.base_seed, trial)
-        m = setup.cfg_data.num_antennas
-        sig1 = math.sqrt(1 / (2 * setup.stage1_rho))
-        dirs = codebook_directions(setup.cfg_data)
-        x_true = setup.model.x
-        obs = np.empty(m, dtype=complex)
-        for j in range(m):
-            raw = noise_rng.standard_normal(2)
-            obs[j] = complex(matched_response(setup.cfg_data, dirs[j], x_true)) + sig1 * (
-                raw[0] + 1j * raw[1]
-            )
-        return obs, noise_rng
+    """The vectorized baselines reproduce the scalar reference updates when
+    fed the same per-trial noise stream."""
 
     def test_wlan_matches_update_function(self):
-        from beamtrack.arrays import ChannelState, SnrConfig
-        from beamtrack.baselines import make_wlan_state, wlan_update
-        from beamtrack.trackers import codebook_directions
-
         setup = base_setup(algorithm="wlan", n_slots=60)
         n_trials = 4
         res = run_chunk(setup, 0, n_trials, collect=("final_estimate",))
-        dirs = codebook_directions(setup.cfg_data)
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        ch = ChannelState(0.35, BETA)
         finals = []
         rates = np.zeros(setup.n_slots)
         for t in range(n_trials):
-            obs, noise_rng = self._stage1(t, setup)
-            state = make_wlan_state(best=int(np.argmax(np.abs(obs))))
-            for slot in range(1, setup.n_slots + 1):
-                state, w_data = wlan_update(setup.cfg_data, snr, ch, state, slot, noise_rng)
-                from beamtrack.metrics import rate as rate_metric
-
-                rates[slot - 1] += rate_metric(setup.cfg_data, w_data, ch, 10.0)
-            finals.append(dirs[state.best])
+            series, final = reference.replay(setup, t)
+            rates += series["rate"]
+            finals.append(final)
         np.testing.assert_allclose(res.extras["final_estimate"], finals, atol=1e-12)
         np.testing.assert_allclose(res.sums["rate"], rates, rtol=1e-9)
 
     def test_kf_matches_update_function(self):
-        from beamtrack.arrays import ChannelState, SnrConfig
-        from beamtrack.baselines import make_kf_state, kf_update
-        from beamtrack.trackers import initial_estimate
-
         setup = base_setup(algorithm="kf", n_slots=60)
         n_trials = 4
         res = run_chunk(setup, 0, n_trials, collect=("final_estimate",))
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        ch = ChannelState(0.35, BETA)
-        finals = []
-        for t in range(n_trials):
-            obs, noise_rng = self._stage1(t, setup)
-            x0 = initial_estimate(setup.cfg_data, obs, setup.m0)
-            state = make_kf_state(theta0=math.asin(x0), q=1e-8)
-            for slot in range(1, setup.n_slots + 1):
-                state, theta_hat, _ = kf_update(setup.cfg_data, snr, ch, state, slot, noise_rng)
-            finals.append(math.sin(state.theta))
+        finals = [reference.replay(setup, t)[1] for t in range(n_trials)]
         np.testing.assert_allclose(res.extras["final_estimate"], finals, atol=1e-9)

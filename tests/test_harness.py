@@ -16,11 +16,11 @@ from beamtrack.metrics import (
     MetricSeries,
     aoa_error_deg,
     capacity,
-    mse_h,
     mse_h_closed,
-    rate,
     rate_closed,
 )
+
+import reference
 
 PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
@@ -34,9 +34,9 @@ class TestMetrics:
     def test_perfect_estimate(self):
         cfg = ArrayConfig(16, 0.5)
         ch = ChannelState(0.3, BETA)
-        assert mse_h(cfg, 0.3, ch) == pytest.approx(0.0, abs=1e-20)
+        assert reference.mse_h(cfg, 0.3, ch) == pytest.approx(0.0, abs=1e-20)
         w = conjugate_beamformer(cfg, 0.3)
-        assert rate(cfg, w, ch, 10.0) == pytest.approx(math.log2(1 + 160), rel=1e-12)
+        assert reference.rate(cfg, w, ch, 10.0) == pytest.approx(math.log2(1 + 160), rel=1e-12)
 
     def test_capacity_value(self):
         assert capacity(ArrayConfig(16, 0.5), 10.0) == pytest.approx(7.33, abs=0.005)
@@ -48,11 +48,11 @@ class TestMetrics:
             x_hat, x = rng.uniform(-1, 1, 2)
             ch = ChannelState(float(x), BETA)
             assert float(mse_h_closed(cfg, x_hat, x, BETA)) == pytest.approx(
-                mse_h(cfg, float(x_hat), ch), abs=1e-9
+                reference.mse_h(cfg, float(x_hat), ch), abs=1e-9
             )
             w = conjugate_beamformer(cfg, float(x_hat))
             assert float(rate_closed(cfg, x_hat, x, 10.0)) == pytest.approx(
-                rate(cfg, w, ch, 10.0), abs=1e-9
+                reference.rate(cfg, w, ch, 10.0), abs=1e-9
             )
 
     def test_local_quadratic_relation(self):
@@ -217,32 +217,20 @@ class TestCsvSchema:
 
 class TestAggregation:
     def test_mean_and_stderr_match_manual_trials(self):
-        from beamtrack import dynamics
-        from beamtrack.arrays import SnrConfig
-        from beamtrack.engine import trial_streams
+        from beamtrack.engine import TrialSetup
         from beamtrack.harness import simulate
-        from beamtrack.trackers import DiminishingStep, alpha_star, run_tracker
 
-        cfg = ArrayConfig(8, 0.5)
         spec = ExperimentSpec(
             kind="static-convergence", m_data=8, x=0.41, n_slots=60, n_trials=6, seed=13,
         )
         series, _ = simulate(spec, "recursive", spec.build_model(), 6, 60)
-        per_trial = []
-        for t in range(6):
-            _, noise_rng, _ = trial_streams(13, t)
-            s = run_tracker(
-                cfg,
-                SnrConfig(pilot=PILOT, rho=10.0),
-                dynamics.Static(0.41),
-                DiminishingStep(alpha_star(cfg)),
-                60,
-                noise_rng,
-                beta=BETA,
-                m0=16,
-            )
-            per_trial.append(s.mse_x)
-        per_trial = np.stack(per_trial)
+        setup = TrialSetup(
+            algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
+            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
+            schedule=spec.resolved_schedule(), model=spec.build_model(), n_slots=60, m0=16,
+            base_seed=13,
+        )
+        per_trial = np.stack([reference.replay(setup, t)[0]["mse_x"] for t in range(6)])
         np.testing.assert_allclose(series.mse_x, per_trial.mean(axis=0), rtol=1e-9)
         manual_stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(6)
         np.testing.assert_allclose(series.stderr["mse_x"], manual_stderr, rtol=1e-7)

@@ -5,29 +5,16 @@ import pytest
 
 from beamtrack import dynamics
 from beamtrack.analysis import mainlobe, stability_threshold
-from beamtrack.arrays import (
-    ArrayConfig,
-    ChannelState,
-    SnrConfig,
-    array_response,
-    conjugate_beamformer,
-    f_gain_closed,
-    matched_response,
-)
+from beamtrack.arrays import ArrayConfig, array_response, f_gain_closed
 from beamtrack.engine import TrialSetup, run_chunk
 from beamtrack.trackers import (
     DiminishingStep,
     FixedStep,
-    TrackerState,
     alpha_star,
-    angular_rbt_step,
     coarse_sweep_codebook,
     codebook_directions,
     initial_dictionary,
     initial_estimate,
-    rbt_step,
-    run_coarse_sweep,
-    run_tracker,
     step_size,
     sweep_matrix,
 )
@@ -35,6 +22,21 @@ from beamtrack.trackers import (
 PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
 CFG8 = ArrayConfig(8, 0.5)
+
+
+def setup8(**over):
+    """One noise-free slot of the recursive tracker on 8 antennas."""
+    kw = dict(
+        algorithm="recursive", cfg_track=CFG8, cfg_data=CFG8, rho=10.0, stage1_rho=10.0,
+        beta=BETA, pilot=PILOT, no_noise=True, schedule=FixedStep(alpha_star(CFG8)),
+        model=dynamics.Static(0.3), n_slots=1, m0=16, base_seed=0,
+    )
+    kw.update(over)
+    return TrialSetup(**kw)
+
+
+def run_one(setup, key="final_estimate", trials=1):
+    return run_chunk(setup, 0, trials, collect=(key,)).extras[key]
 
 
 class TestCodebook:
@@ -61,40 +63,39 @@ class TestInitialEstimate:
         np.testing.assert_allclose(initial_dictionary(4), [-0.75, -0.25, 0.25, 0.75])
 
     def test_noise_free_on_atom(self):
-        cfg = ArrayConfig(8, 0.5)
-        snr = SnrConfig(pilot=PILOT, rho=1.0, no_noise=True)
         grid = initial_dictionary(16)
         for atom in grid[::3]:
-            obs, x0 = run_coarse_sweep(cfg, ChannelState(float(atom), BETA), snr, None)
-            assert x0 == atom
+            assert run_one(setup8(model=dynamics.Static(float(atom))), "x0_hat")[0] == atom
 
     def test_noise_free_scan_stays_in_mainlobe(self):
-        cfg = ArrayConfig(8, 0.5)
         m0 = 16
-        snr = SnrConfig(pilot=PILOT, rho=1.0, no_noise=True)
         for x in np.linspace(-0.995, 0.995, 399):
-            _, x0 = run_coarse_sweep(cfg, ChannelState(float(x), BETA), snr, None, m0=m0)
+            x0 = run_one(setup8(model=dynamics.Static(float(x)), m0=m0), "x0_hat")[0]
             assert abs(x0 - x) <= 1.0 / m0 + 1e-12
-            lo, hi = mainlobe(cfg, float(x))
+            lo, hi = mainlobe(CFG8, float(x))
             assert lo < x0 < hi
 
     def test_tie_breaks_to_smallest(self):
-        cfg = ArrayConfig(8, 0.5)
         obs = np.zeros(8, dtype=complex)  # all-zero scores: every atom ties
-        assert initial_estimate(cfg, obs, 16) == initial_dictionary(16)[0]
+        assert initial_estimate(CFG8, obs, 16) == initial_dictionary(16)[0]
+        # a (T, M) block gives one estimate per trial
+        np.testing.assert_array_equal(
+            initial_estimate(CFG8, np.zeros((3, 8), dtype=complex), 16), [initial_dictionary(16)[0]] * 3
+        )
 
     def test_rejects_small_dictionary(self):
         with pytest.raises(ValueError):
             initial_estimate(CFG8, np.zeros(8, dtype=complex), 4)
 
     def test_stage1_snr_can_differ(self):
-        cfg = ArrayConfig(8, 0.5)
-        snr_lo = SnrConfig(pilot=PILOT, rho=1.0)
-        snr_hi = SnrConfig(pilot=PILOT, rho=100.0)
-        rng = np.random.default_rng(0)
-        _, x0 = run_coarse_sweep(cfg, ChannelState(0.3, BETA), snr_hi, rng)
-        assert abs(x0 - 0.3) < 0.26
-        _, _ = run_coarse_sweep(cfg, ChannelState(0.3, BETA), snr_lo, rng)
+        # the stage-1 estimate depends on the sweep SNR only, not the tracking SNR
+        model = dynamics.Static(0.3)
+        x0 = [
+            run_one(setup8(model=model, no_noise=False, stage1_rho=100.0, rho=rho), "x0_hat", 50)
+            for rho in (1.0, 100.0)
+        ]
+        np.testing.assert_array_equal(x0[0], x0[1])
+        assert np.all(np.abs(x0[0] - 0.3) < 0.26)
 
 
 class TestStepSize:
@@ -137,52 +138,59 @@ class TestAlphaStar:
 
 class TestRbtStep:
     def test_fixed_point(self):
-        st = TrackerState(0.42, 3, DiminishingStep(alpha_star(CFG8)))
-        out = rbt_step(st, 1.3 + 0.0j)  # zero imaginary part
-        assert out.estimate == st.estimate
-        assert out.slot == 4
+        # matched beam: the observation is real, so the estimate stays put
+        s = setup8(x0_mode="true", model=dynamics.Static(0.42), schedule=DiminishingStep(alpha_star(CFG8)))
+        assert run_one(s)[0] == 0.42
 
     def test_moves_toward_target_in_mainlobe(self):
         x = 0.3
         lo, hi = mainlobe(CFG8, x)
-        snr = SnrConfig(pilot=PILOT, rho=1.0, no_noise=True)
         for v in np.linspace(lo + 1e-3, hi - 1e-3, 41):
             if abs(v - x) < 1e-9:
                 continue
-            st = TrackerState(float(v), 0, FixedStep(alpha_star(CFG8)))
-            y = complex(matched_response(CFG8, v, x))
-            out = rbt_step(st, y)
-            assert np.sign(out.estimate - v) == np.sign(x - v)
+            out = run_one(setup8(model=dynamics.Static(x), x0_mode="fixed", x0_value=float(v)))[0]
+            assert np.sign(out - v) == np.sign(x - v)
 
     def test_clamp_at_boundary(self):
-        st = TrackerState(1.0, 0, FixedStep(1.0))
-        out = rbt_step(st, 0.0 - 5.0j)  # large positive update
-        assert out.estimate == 1.0
+        # a unit step overshoots the target at the edge; the estimate is clamped
+        for x0, x in ((0.9, 1.0), (-0.9, -1.0)):
+            s = setup8(model=dynamics.Static(x), x0_mode="fixed", x0_value=x0, schedule=FixedStep(1.0))
+            assert run_one(s)[0] == x
 
 
 class TestAngularStep:
     def test_equals_x_domain_at_zero(self):
-        y = 0.2 - 0.7j
-        sched = FixedStep(0.05)
-        out_x = rbt_step(TrackerState(0.0, 0, sched), y)
-        out_t = angular_rbt_step(TrackerState(0.0, 0, sched), y, CFG8)
-        assert out_t.estimate == pytest.approx(out_x.estimate)
+        # same noise stream, start at broadside: one angular step equals one
+        # x-domain step (gain 1/cos(0) = 1)
+        out = {}
+        for algo in ("recursive", "angular"):
+            s = setup8(
+                algorithm=algo, no_noise=False, model=dynamics.Static(0.2), x0_mode="fixed",
+                x0_value=0.0, schedule=FixedStep(0.05),
+            )
+            out[algo] = run_one(s, trials=5)
+        np.testing.assert_allclose(out["angular"], np.sin(out["recursive"]), rtol=1e-15)
 
     def test_gain_inflation_near_endfire(self):
-        y = 0.0 - 0.01j
-        sched = FixedStep(alpha_star(CFG8))
+        # equal observations (same v - x, noise-free) at 88 degrees and at 0:
+        # the angular update is larger by 1/cos(theta_hat)
         t88 = math.radians(88.0)
-        upd88 = angular_rbt_step(TrackerState(t88, 0, sched), y, CFG8).estimate - t88
-        upd0 = angular_rbt_step(TrackerState(0.0, 0, sched), y, CFG8).estimate - 0.0
-        assert upd88 / upd0 == pytest.approx(1 / math.cos(t88), rel=1e-9)
+        upd = []
+        for x0 in (math.sin(t88), 0.0):
+            s = setup8(
+                algorithm="angular", model=dynamics.Static(x0 - 1e-3), x0_mode="fixed", x0_value=x0,
+                schedule=FixedStep(alpha_star(CFG8)),
+            )
+            upd.append(math.asin(run_one(s)[0]) - math.asin(x0))
+        assert upd[0] / upd[1] == pytest.approx(1 / math.cos(math.asin(math.sin(t88))), rel=1e-9)
         assert 1 / math.cos(t88) == pytest.approx(28.65, abs=0.01)
 
     def test_degenerate_gain_flagged_and_bounded(self):
-        sched = FixedStep(alpha_star(CFG8))
-        st = TrackerState(math.pi / 2, 0, sched)
-        out = angular_rbt_step(st, 0.0 - 1e-9j, CFG8)
-        assert out.degenerate
-        assert abs(out.estimate) <= math.pi / 2
+        for x0, degenerate in ((1.0, 1), (0.5, 0)):
+            s = setup8(algorithm="angular", model=dynamics.Static(0.99), x0_mode="fixed", x0_value=x0)
+            res = run_chunk(s, 0, 1, collect=("degenerate_slots", "final_estimate"))
+            assert res.extras["degenerate_slots"][0] == degenerate
+            assert abs(res.extras["final_estimate"][0]) <= 1.0
 
     def test_same_asymptotic_rate_as_x_domain(self):
         # identical noise streams, moderate angle: the two recursions track the
@@ -204,50 +212,45 @@ class TestAngularStep:
 
 class TestRunTracker:
     def test_seeded_determinism(self):
-        kw = dict(
-            cfg=CFG8, snr=SnrConfig(pilot=PILOT, rho=10.0), trajectory=dynamics.Static(0.4),
-            schedule=DiminishingStep(alpha_star(CFG8)), n_slots=50, beta=BETA,
+        s = setup8(
+            model=dynamics.Static(0.4), no_noise=False, x0_mode="sweep",
+            schedule=DiminishingStep(alpha_star(CFG8)), n_slots=50, base_seed=77,
         )
-        s1 = run_tracker(rng=np.random.default_rng(77), **kw)
-        s2 = run_tracker(rng=np.random.default_rng(77), **kw)
-        np.testing.assert_array_equal(s1.mse_x, s2.mse_x)
-        np.testing.assert_array_equal(s1.rate, s2.rate)
+        r1, r2 = run_chunk(s, 0, 3), run_chunk(s, 0, 3)
+        np.testing.assert_array_equal(r1.sums["mse_x"], r2.sums["mse_x"])
+        np.testing.assert_array_equal(r1.sums["rate"], r2.sums["rate"])
 
     def test_noise_free_monotone_convergence(self):
-        snr = SnrConfig(pilot=PILOT, rho=10.0, no_noise=True)
-        series = run_tracker(
-            CFG8, snr, dynamics.Static(0.3), FixedStep(0.3 * alpha_star(CFG8)),
-            n_slots=400, rng=None, beta=BETA, x0_hat=0.12,
+        s = setup8(
+            x0_mode="fixed", x0_value=0.12, schedule=FixedStep(0.3 * alpha_star(CFG8)), n_slots=400,
         )
-        err = np.sqrt(series.mse_x)
+        err = np.sqrt(run_chunk(s, 0, 1).sums["mse_x"])
         assert np.all(np.diff(err) <= 1e-12)
         assert err[-1] < 1e-6
 
     def test_projection_invariant(self):
-        snr = SnrConfig(pilot=PILOT, rho=1.0)
-        series = run_tracker(
-            CFG8, snr, dynamics.Static(0.95), DiminishingStep(10 * alpha_star(CFG8)),
-            n_slots=300, rng=np.random.default_rng(1), beta=BETA,
+        s = setup8(
+            model=dynamics.Static(0.95), no_noise=False, rho=1.0, stage1_rho=1.0, x0_mode="sweep",
+            schedule=DiminishingStep(10 * alpha_star(CFG8)), n_slots=300, base_seed=1,
         )
-        # mse_x <= 4 means the estimate never left [-1, 1]
-        assert np.all(series.mse_x <= 4.0 + 1e-12)
+        for t in range(4):
+            # mse_x <= 4 means the estimate never left [-1, 1]
+            assert np.all(run_chunk(s, t, t + 1).sums["mse_x"] <= 4.0 + 1e-12)
 
     def test_angular_variant_runs(self):
-        snr = SnrConfig(pilot=PILOT, rho=10.0)
-        series = run_tracker(
-            CFG8, snr, dynamics.Static(0.5), FixedStep(alpha_star(CFG8)),
-            n_slots=200, rng=np.random.default_rng(2), beta=BETA, algorithm="angular",
+        s = setup8(
+            algorithm="angular", model=dynamics.Static(0.5), no_noise=False, x0_mode="sweep",
+            n_slots=200, base_seed=2,
         )
-        assert series.mse_x[-1] < 0.01
+        assert run_chunk(s, 0, 4).sums["mse_x"][-1] / 4 < 0.01
 
     def test_subset_tracking_rates_use_data_array(self):
-        snr = SnrConfig(pilot=PILOT, rho=10.0, no_noise=True)
-        cfg16 = ArrayConfig(16, 0.5)
-        series = run_tracker(
-            CFG8, snr, dynamics.Static(0.2), FixedStep(alpha_star(CFG8)),
-            n_slots=50, rng=None, beta=BETA, x0_hat=0.2, data_cfg=cfg16,
+        s = setup8(
+            cfg_data=ArrayConfig(16, 0.5), model=dynamics.Static(0.2), x0_mode="fixed", x0_value=0.2,
+            n_slots=50,
         )
-        assert series.rate[-1] == pytest.approx(math.log2(1 + 10.0 * 16), rel=1e-9)
+        rate = run_chunk(s, 0, 1).sums["rate"]
+        assert rate[-1] == pytest.approx(math.log2(1 + 10.0 * 16), rel=1e-9)
 
 
 class TestConvergenceBehavior:
