@@ -9,6 +9,7 @@ Library layout:
   and step-size schedules.
 * :mod:`beamtrack.dynamics` -- direction trajectory models.
 * :mod:`beamtrack.analysis` -- convergence theory diagnostics.
+* :mod:`beamtrack.metrics` -- per-slot metrics and their trial statistics.
 * :mod:`beamtrack.engine` -- the vectorized trial runner, the only
   implementation of the recursive trackers and of the least-squares,
   compressed-sensing, sweep-and-refine and Kalman-filter baselines; one

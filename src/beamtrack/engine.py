@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dynamics
 from .arrays import ArrayConfig, dirichlet, f_gain_closed, weighted_dirichlet
-from .metrics import METRIC_NAMES
+from .metrics import METRIC_NAMES, SlotStats, write_slot_metrics
 from .trackers import (
     StepSizeSchedule,
     codebook_directions,
@@ -51,6 +51,9 @@ ALGORITHMS = ("recursive", "angular") + BASELINE_ALGORITHMS
 
 # probe alphabet for the compressed-sensing sounder (scaled by 1/sqrt(M))
 _CS_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
+
+# rows of a slot's metric block
+_MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
 
 KF_OFFSET_RAD = math.radians(3.5)
 KF_P_VAR_MAX = 1e6
@@ -89,7 +92,7 @@ class TrialSetup:
     n_slots: int
     m0: int
     base_seed: int
-    x0_mode: str = "sweep"  # sweep | fixed | true | offset | uniform-mainlobe
+    x0_mode: str = "sweep"  # sweep | fixed (at x0_value) | true
     x0_value: float = 0.0
     kf_q: float | None = None
     kf_p0: float = 1e-2
@@ -101,18 +104,15 @@ class TrialSetup:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        if self.x0_mode not in ("sweep", "fixed", "true", "offset", "uniform-mainlobe"):
+        if self.x0_mode not in ("sweep", "fixed", "true"):
             raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
 
 
 @dataclass
 class ChunkResult:
-    """Per-slot metric sums over a chunk of trials, plus per-trial extras."""
+    """Per-slot metric statistics over a chunk of trials, plus per-trial extras."""
 
-    n_trials: int
-    sums: dict
-    sumsqs: dict
-    defined: tuple
+    stats: SlotStats
     extras: dict = field(default_factory=dict)
 
 
@@ -126,37 +126,11 @@ def _quadrature_sigma(rho: float, no_noise: bool) -> float:
     return 0.0 if no_noise else math.sqrt(1.0 / (2.0 * rho))
 
 
-def _f_update_field(cfg: ArrayConfig, u: np.ndarray) -> np.ndarray:
-    """-Im of the matched-beamformer response, vectorized (equals f(v, x))."""
-    return np.asarray(f_gain_closed(cfg, u, 0.0))
-
-
-class _SlotMetrics:
-    """Accumulates per-slot sums and squared sums of the standard metrics."""
-
-    def __init__(self, n_slots: int, defined: Sequence[str]):
-        self.defined = tuple(defined)
-        self.sums = {k: np.zeros(n_slots) for k in self.defined}
-        self.sumsqs = {k: np.zeros(n_slots) for k in self.defined}
-
-    def record(self, i: int, **values):
-        for k, v in values.items():
-            self.sums[k][i] = v.sum()
-            self.sumsqs[k][i] = np.square(v).sum()
-
-
-def _metric_values(cfg_data, beta, rho, x_hat, x, theta):
-    psi = cfg_data.phase_factor * (x_hat - x)
-    d = dirichlet(psi, cfg_data.num_antennas)
-    mse_h = abs(beta) ** 2 * (2.0 * cfg_data.num_antennas - 2.0 * d.real)
-    rate = np.log2(1.0 + rho * (d.real**2 + d.imag**2) / cfg_data.num_antennas)
-    aoa = np.abs(np.arcsin(np.clip(x_hat, -1.0, 1.0)) - theta) * (180.0 / math.pi)
-    mse_x = (x_hat - x) ** 2
-    return dict(mse_h=mse_h, mse_x=mse_x, aoa_error_deg=aoa, rate=rate)
-
-
 def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence[str] = ()) -> ChunkResult:
-    """Simulate trials [trial_lo, trial_hi) and return per-slot metric sums.
+    """Simulate trials [trial_lo, trial_hi); return per-slot metric statistics.
+
+    Each slot's values go into one (len(METRIC_NAMES), T) block for
+    ``SlotStats.record``; least squares leaves its mse_x and AoA rows NaN.
 
     ``collect`` may request per-trial arrays: ``x0_hat``, ``init_in_mainlobe``,
     ``final_estimate``, ``final_x``, ``excursion``, ``degenerate_slots``.
@@ -169,10 +143,8 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     cfg_d = setup.cfg_data
     m = cfg.num_antennas
 
-    streams = [trial_streams(setup.base_seed, t) for t in range(trial_lo, trial_hi)]
-    traj_rngs = [s[0] for s in streams]
-    noise_rngs = [s[1] for s in streams]
-    algo_rngs = [s[2] for s in streams]
+    streams = (trial_streams(setup.base_seed, t) for t in range(trial_lo, trial_hi))
+    traj_rngs, noise_rngs, algo_rngs = zip(*streams)
 
     # --- trajectory -------------------------------------------------------
     model = setup.model
@@ -187,8 +159,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         x_true0 = xs
         per_slot_traj = False
     elif isinstance(model, dynamics.FixedVelocity):
-        th, xv = dynamics.trajectory(model, n)
-        thetas, xs = th, xv  # shared (n,) arrays
+        thetas, xs = dynamics.trajectory(model, n)  # shared (n,) arrays
         x_true0 = np.full(n_trials, math.sin(model.theta0))
         per_slot_traj = True
     else:  # SinusoidJitter: per-trial jitter realizations
@@ -228,39 +199,31 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     dirs = codebook_directions(cfg)
     sweep_resp = dirichlet(cfg.phase_factor * (dirs[None, :] - x_true0[:, None]), m) / math.sqrt(m)
     sweep_obs = sweep_resp + sweep_noise
-    x0_sweep = initial_estimate(cfg, sweep_obs, setup.m0)
-
-    half_lobe = 1.0 / (m * cfg.spacing_ratio)
     if setup.x0_mode == "fixed":
         x0_hat = np.full(n_trials, float(np.clip(setup.x0_value, -1.0, 1.0)))
     elif setup.x0_mode == "true":
         x0_hat = x_true0.copy()
-    elif setup.x0_mode == "offset":
-        x0_hat = np.clip(x_true0 + setup.x0_value, -1.0, 1.0)
-    elif setup.x0_mode == "uniform-mainlobe":
-        lo_b = np.maximum(x_true0 - half_lobe, -1.0)
-        hi_b = np.minimum(x_true0 + half_lobe, 1.0)
-        u = np.array([r.uniform(0.0, 1.0) for r in traj_rngs])
-        x0_hat = lo_b + u * (hi_b - lo_b)
     else:
-        x0_hat = x0_sweep.copy()
-    init_in_mainlobe = np.abs(x0_hat - x_true0) < half_lobe
+        x0_hat = initial_estimate(cfg, sweep_obs, setup.m0)
+    init_in_mainlobe = np.abs(x0_hat - x_true0) < 1.0 / (m * cfg.spacing_ratio)
 
-    metrics = _SlotMetrics(
-        n,
-        METRIC_NAMES if setup.algorithm != "ls" else ("mse_h", "rate"),
-    )
-    track_excursion = setup.excursion_threshold_rad is not None
+    stats = SlotStats.empty(n_trials, n)
+    values = np.full((len(METRIC_NAMES), n_trials), np.nan)  # one slot's metric block
     excursion = np.zeros(n_trials, dtype=bool)
+    excursion_from = n if setup.excursion_threshold_rad is None else setup.excursion_burn_in
+    excursion_deg = math.degrees(setup.excursion_threshold_rad or 0.0)
     degenerate_slots = np.zeros(n_trials, dtype=np.int64)
 
     a_sched = np.array([step_size(setup.schedule, i) for i in range(1, n + 1)])
     rho = setup.rho
     beta = setup.beta
 
-    def note_excursion(i, theta_hat, theta_n):
-        if track_excursion and i >= setup.excursion_burn_in:
-            np.logical_or(excursion, np.abs(theta_hat - theta_n) > setup.excursion_threshold_rad, out=excursion)
+    def record(i, x_hat, x_n, theta_n):
+        d = dirichlet(cfg_d.phase_factor * (x_hat - x_n), cfg_d.num_antennas)
+        write_slot_metrics(values, cfg_d, x_hat, x_n, theta_n, d, beta, rho)
+        stats.record(i, values)
+        if i >= excursion_from:
+            np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
 
     x_hat = x0_hat.copy()
 
@@ -268,11 +231,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         v = x0_hat.copy()
         for i in range(n):
             theta_n, x_n = slot_truth(i)
-            im_y = -_f_update_field(cfg, v - x_n) + noise[:, i].imag
+            im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             v = np.clip(v - a_sched[i] * im_y, -1.0, 1.0)
-            vals = _metric_values(cfg_d, beta, rho, v, x_n, theta_n)
-            metrics.record(i, **vals)
-            note_excursion(i, np.arcsin(np.clip(v, -1, 1)), theta_n)
+            record(i, v, x_n, theta_n)
         x_hat = v
 
     elif setup.algorithm == "angular":
@@ -284,12 +245,10 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             degenerate_slots += degenerate
             gain = np.copysign(np.maximum(np.abs(c), COS_GUARD), np.where(c == 0.0, 1.0, c))
             v = np.sin(th)
-            im_y = -_f_update_field(cfg, v - x_n) + noise[:, i].imag
+            im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             th = np.clip(th - a_sched[i] / gain * im_y, -_HALF_PI, _HALF_PI)
             x_hat = np.sin(th)
-            vals = _metric_values(cfg_d, beta, rho, x_hat, x_n, theta_n)
-            metrics.record(i, **vals)
-            note_excursion(i, th, theta_n)
+            record(i, x_hat, x_n, theta_n)
 
     elif setup.algorithm == "ls":
         p = setup.pilot
@@ -312,11 +271,11 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             h_hat = ((buf / counts) @ wt.T) / p
             a_true = np.exp(-1j * cfg.phase_factor * np.multiply.outer(x_n, ant))
             diff = h_hat - beta * a_true
-            mse_h = np.sum(diff.real**2 + diff.imag**2, axis=1)
+            values[_MSE_H] = np.sum(diff.real**2 + diff.imag**2, axis=1)
             w_data = np.exp(1j * np.angle(h_hat)) / math.sqrt(m)
             resp_data = np.einsum("tm,tm->t", w_data.conj(), np.broadcast_to(a_true, h_hat.shape))
-            rate = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
-            metrics.record(i, mse_h=mse_h, rate=rate)
+            values[_RATE] = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
+            stats.record(i, values)
 
     elif setup.algorithm == "cs":
         grid = cs_dictionary()
@@ -362,9 +321,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             accumulate(w, resp + noise[:, i])
             scores = (corr.real**2 + corr.imag**2) / np.maximum(norm2, 1e-300)
             x_hat = grid[np.argmax(scores, axis=1)]
-            vals = _metric_values(cfg_d, beta, rho, x_hat, x_n, theta_n)
-            metrics.record(i, **vals)
-            note_excursion(i, np.arcsin(np.clip(x_hat, -1, 1)), theta_n)
+            record(i, x_hat, x_n, theta_n)
 
     elif setup.algorithm == "wlan":
         best = np.argmax(np.abs(sweep_obs), axis=1)
@@ -388,9 +345,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
                 phase = 0
                 run_mag.fill(-np.inf)
             x_hat = dirs[best]
-            vals = _metric_values(cfg_d, beta, rho, x_hat, x_n, theta_n)
-            metrics.record(i, **vals)
-            note_excursion(i, np.arcsin(np.clip(x_hat, -1, 1)), theta_n)
+            record(i, x_hat, x_n, theta_n)
 
     else:  # kf
         q = setup.kf_q
@@ -422,32 +377,19 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
                 th = np.where(np.isfinite(th), th, 0.0)
             th = np.clip(th, -_HALF_PI, _HALF_PI)
             x_hat = np.sin(th)
-            vals = _metric_values(cfg_d, beta, rho, x_hat, x_n, theta_n)
-            metrics.record(i, **vals)
-            note_excursion(i, th, theta_n)
+            record(i, x_hat, x_n, theta_n)
 
-    theta_f, x_f = slot_truth(n - 1)
-    extras = {}
-    for name in collect:
-        if name == "x0_hat":
-            extras[name] = x0_hat
-        elif name == "init_in_mainlobe":
-            extras[name] = init_in_mainlobe
-        elif name == "final_estimate":
-            extras[name] = np.asarray(x_hat, dtype=float).copy()
-        elif name == "final_x":
-            extras[name] = np.broadcast_to(np.asarray(x_f, dtype=float), (n_trials,)).copy()
-        elif name == "excursion":
-            extras[name] = excursion
-        elif name == "degenerate_slots":
-            extras[name] = degenerate_slots
-        else:
-            raise ValueError(f"unknown collect key {name!r}")
-
-    return ChunkResult(
-        n_trials=n_trials,
-        sums=metrics.sums,
-        sumsqs=metrics.sumsqs,
-        defined=metrics.defined,
-        extras=extras,
-    )
+    _, x_f = slot_truth(n - 1)
+    available = {
+        "x0_hat": x0_hat,
+        "init_in_mainlobe": init_in_mainlobe,
+        "final_estimate": np.asarray(x_hat, dtype=float),
+        "final_x": np.broadcast_to(np.asarray(x_f, dtype=float), (n_trials,)),
+        "excursion": excursion,
+        "degenerate_slots": degenerate_slots,
+    }
+    try:
+        extras = {name: np.array(available[name]) for name in collect}
+    except KeyError as e:
+        raise ValueError(f"unknown collect key {e.args[0]!r}") from None
+    return ChunkResult(stats=stats, extras=extras)

@@ -14,15 +14,18 @@ results as CSV.  Six experiment kinds are supported:
   mainlobe.
 * ``theory-diagnostics``: closed-form constants from the analysis module.
 
-Trials are split into fixed-size chunks; chunk results are reduced in chunk
-order with compensated summation, so the output is bitwise identical for any
-worker count.
+Trials are split into fixed-size chunks.  Each chunk reports a per-slot
+(count, mean, M2) record of every metric, and the records are merged in chunk
+order with the pairwise update of Chan, Golub & LeVeque (1979), so the output
+is bitwise identical for any worker count and the standard errors do not
+suffer the cancellation of sum(v^2) - n*mean^2.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -35,7 +38,7 @@ from . import analysis, dynamics
 from .arrays import ArrayConfig
 from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
 from .engine import ALGORITHMS, BASELINE_ALGORITHMS, ChunkResult, TrialSetup, run_chunk
-from .metrics import METRIC_NAMES, MetricSeries, capacity
+from .metrics import METRIC_NAMES, MetricSeries, SlotStats, capacity
 from .trackers import DiminishingStep, FixedStep, alpha_star
 
 KINDS = (
@@ -254,20 +257,6 @@ def _run_chunk_task(args):
     return run_chunk(setup, lo, hi, collect)
 
 
-class _Kahan:
-    """Compensated accumulation of per-slot arrays in fixed chunk order."""
-
-    def __init__(self, n: int):
-        self.total = np.zeros(n)
-        self._c = np.zeros(n)
-
-    def add(self, values: np.ndarray):
-        y = values - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 def simulate(
     spec: ExperimentSpec,
     algorithm: str,
@@ -315,44 +304,14 @@ def simulate(
     else:
         results = [_run_chunk_task(t) for t in tasks]
 
-    return _reduce_chunks(results, n_slots, n_trials)
+    return _reduce_chunks(results)
 
 
-def _reduce_chunks(results: list[ChunkResult], n_slots: int, n_trials: int):
-    defined = results[0].defined
-    sums = {k: _Kahan(n_slots) for k in defined}
-    sumsqs = {k: _Kahan(n_slots) for k in defined}
-    for res in results:
-        for k in defined:
-            sums[k].add(res.sums[k])
-            sumsqs[k].add(res.sumsqs[k])
-
-    values = {}
-    stderr = {}
-    for k in METRIC_NAMES:
-        if k in defined:
-            mean = sums[k].total / n_trials
-            if n_trials > 1:
-                var = np.maximum(sumsqs[k].total - n_trials * mean**2, 0.0) / (n_trials - 1)
-                stderr[k] = np.sqrt(var / n_trials)
-            else:
-                stderr[k] = np.full(n_slots, np.nan)
-            values[k] = mean
-        else:
-            values[k] = np.full(n_slots, np.nan)
-            stderr[k] = np.full(n_slots, np.nan)
-
-    series = MetricSeries(
-        slots=np.arange(1, n_slots + 1),
-        n_trials=n_trials,
-        stderr=stderr,
-        **values,
-    )
-    extras = {}
-    if results[0].extras:
-        for name in results[0].extras:
-            extras[name] = np.concatenate([r.extras[name] for r in results])
-    return series, extras
+def _reduce_chunks(results: list[ChunkResult]):
+    """Merge chunk statistics and concatenate per-trial extras, in chunk order."""
+    stats = functools.reduce(SlotStats.merge, (r.stats for r in results))
+    extras = {name: np.concatenate([r.extras[name] for r in results]) for name in results[0].extras}
+    return stats.series(), extras
 
 
 # ---------------------------------------------------------------------------

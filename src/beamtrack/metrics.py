@@ -1,4 +1,5 @@
-"""Per-slot performance metrics: channel-response MSE, achievable rate, AoA error."""
+"""Per-slot performance metrics (channel-response MSE, achievable rate, AoA
+error) and their per-slot trial statistics across chunks of trials."""
 
 from __future__ import annotations
 
@@ -40,6 +41,14 @@ def capacity(cfg: ArrayConfig, rho: float) -> float:
     return math.log2(1.0 + rho * cfg.num_antennas)
 
 
+def _mse_h(d, m: int, beta: complex):
+    return abs(beta) ** 2 * (2.0 * m - 2.0 * d.real)
+
+
+def _rate(d, m: int, rho: float):
+    return np.log2(1.0 + rho * (d.real**2 + d.imag**2) / m)
+
+
 def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
     """Squared channel-response error ||beta*a(x_hat) - beta*a(x)||_2^2.
 
@@ -47,7 +56,7 @@ def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
     """
     m = cfg.num_antennas
     psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
-    return abs(beta) ** 2 * (2.0 * m - 2.0 * dirichlet(psi, m).real)
+    return _mse_h(dirichlet(psi, m), m, beta)
 
 
 def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
@@ -55,11 +64,68 @@ def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
     matched data beamformer w at x_hat, where |w^H a(x)|^2 = |D_M|^2/M."""
     m = cfg.num_antennas
     psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
-    d = dirichlet(psi, m)
-    return np.log2(1.0 + rho * (d.real**2 + d.imag**2) / m)
+    return _rate(dirichlet(psi, m), m, rho)
 
 
 def aoa_error_deg(x_hat, theta):
     """|asin(x_hat) - theta| in degrees."""
     est = np.arcsin(np.clip(np.asarray(x_hat, dtype=float), -1.0, 1.0))
     return np.abs(est - np.asarray(theta, dtype=float)) * (180.0 / math.pi)
+
+
+def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, theta, d, beta: complex, rho: float):
+    """Fill the METRIC_NAMES rows of ``out`` for estimates ``x_hat`` of ``x``,
+    given d = D_M(phi*(x_hat - x)) on the data array ``cfg``."""
+    m = cfg.num_antennas
+    out[0] = _mse_h(d, m, beta)
+    out[1] = (x_hat - x) ** 2
+    out[2] = aoa_error_deg(x_hat, theta)
+    out[3] = _rate(d, m, rho)
+
+
+@dataclass
+class SlotStats:
+    """Per-slot trial count, mean and sum of squared deviations (M2).
+
+    ``mean`` and ``m2`` have one row per METRIC_NAMES entry and one column
+    per slot.  A chunk fills them slot by slot with :meth:`record`; chunks
+    combine with :meth:`merge`, the pairwise update of Chan, Golub & LeVeque
+    (1979), so the variance never forms sum(v^2) - n*mean^2, which cancels
+    when the spread is small next to the mean.
+    """
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def empty(cls, count: int, n_slots: int) -> SlotStats:
+        shape = (len(METRIC_NAMES), n_slots)
+        return cls(count, np.empty(shape), np.empty(shape))
+
+    def record(self, i: int, block: np.ndarray) -> None:
+        """Store slot ``i`` from a (len(METRIC_NAMES), count) block of trial values."""
+        mean = block.sum(axis=1) / self.count
+        dev = block - mean[:, None]
+        self.mean[:, i] = mean
+        self.m2[:, i] = (dev * dev).sum(axis=1)
+
+    def merge(self, other: SlotStats) -> SlotStats:
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.count / n)
+        m2 = self.m2 + other.m2 + delta**2 * (self.count * other.count / n)
+        return SlotStats(n, mean, m2)
+
+    def series(self) -> MetricSeries:
+        """Per-slot means with standard errors sqrt(M2 / (n - 1) / n)."""
+        if self.count > 1:
+            stderr = np.sqrt(self.m2 / (self.count - 1) / self.count)
+        else:
+            stderr = np.full_like(self.mean, np.nan)
+        return MetricSeries(
+            slots=np.arange(1, self.mean.shape[1] + 1),
+            n_trials=self.count,
+            stderr=dict(zip(METRIC_NAMES, stderr)),
+            **dict(zip(METRIC_NAMES, self.mean)),
+        )

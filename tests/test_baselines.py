@@ -34,8 +34,13 @@ def finals(setup, trials=1):
     return run_chunk(setup, 0, trials, collect=("final_estimate",)).extras["final_estimate"]
 
 
+def means(setup, trials=1):
+    """Per-slot trial means of a chunk of ``trials`` trials."""
+    return run_chunk(setup, 0, trials).stats.series()
+
+
 def mean_mse_h(setup, trials):
-    return run_chunk(setup, 0, trials).sums["mse_h"] / trials
+    return means(setup, trials).mse_h
 
 
 class TestLeastSquares:
@@ -43,10 +48,10 @@ class TestLeastSquares:
     ONE_SWEEP_FLOOR = 16 * abs(BETA) ** 2 / 10.0
 
     def test_noise_free_exact(self):
-        res = run_chunk(setup16("ls", n_slots=16), 0, 1)
-        assert res.sums["mse_h"] == pytest.approx(0.0, abs=1e-18)
+        res = means(setup16("ls", n_slots=16))
+        assert res.mse_h == pytest.approx(0.0, abs=1e-18)
         # the data beam attains the capacity from the first slot
-        np.testing.assert_allclose(res.sums["rate"], math.log2(1 + 160), rtol=1e-9)
+        np.testing.assert_allclose(res.rate, math.log2(1 + 160), rtol=1e-9)
 
     def test_window_noise_floor(self):
         s = setup16("ls", no_noise=False, model=WINDOW_037, n_slots=32)
@@ -61,8 +66,7 @@ class TestLeastSquares:
 
     def test_seeded_determinism(self):
         s = setup16("ls", no_noise=False, rho=5.0, model=dynamics.Static(-0.2), n_slots=20, base_seed=3)
-        r1, r2 = run_chunk(s, 0, 3), run_chunk(s, 0, 3)
-        np.testing.assert_array_equal(r1.sums["mse_h"], r2.sums["mse_h"])
+        np.testing.assert_array_equal(means(s, 3).mse_h, means(s, 3).mse_h)
 
 
 class TestCompressedSensing:
@@ -92,9 +96,9 @@ class TestWlanSweepRefine:
     def test_noise_free_static_locks_nearest(self):
         x = 0.3
         nearest = DIRS[np.argmin(np.abs(DIRS - x))]
-        res = run_chunk(setup16("wlan", model=dynamics.Static(x), n_slots=30), 0, 1)
+        res = means(setup16("wlan", model=dynamics.Static(x), n_slots=30))
         # the same beam in every slot
-        np.testing.assert_array_equal(res.sums["mse_x"], (nearest - x) ** 2)
+        np.testing.assert_array_equal(res.mse_x, (nearest - x) ** 2)
         assert abs(nearest - x) <= 1.0 / 16
 
     def test_recovers_after_bad_init(self):
@@ -113,8 +117,8 @@ class TestWlanSweepRefine:
         # the probes of an edge beam clip to the codebook instead of wrapping
         # around (or running off the end)
         for x, edge in ((0.99, DIRS[-1]), (-0.99, DIRS[0])):
-            res = run_chunk(setup16("wlan", model=dynamics.Static(x), n_slots=30), 0, 1)
-            np.testing.assert_array_equal(res.sums["mse_x"], (edge - x) ** 2)
+            res = means(setup16("wlan", model=dynamics.Static(x), n_slots=30))
+            np.testing.assert_array_equal(res.mse_x, (edge - x) ** 2)
 
     def test_period_respected(self):
         # the best beam may change only at the end of each 3-slot period
@@ -130,7 +134,7 @@ class TestWlanSweepRefine:
 class TestKalman:
     def test_noise_free_fixed_point(self):
         s = setup16("kf", model=dynamics.Static(math.sin(0.4)), x0_mode="true", kf_q=0.0, n_slots=19)
-        aoa_deg = run_chunk(s, 0, 1).sums["aoa_error_deg"]
+        aoa_deg = means(s).aoa_error_deg
         assert np.all(aoa_deg <= math.degrees(1e-12))
 
     def test_probe_offsets_alternate(self, monkeypatch):
@@ -160,8 +164,7 @@ class TestKalman:
             schedule=DiminishingStep(alpha_star(CFG)), model=model,
             n_slots=50, m0=32, base_seed=4,
         )
-        res = run_chunk(setup, 0, 1000)
-        mse = res.sums["mse_x"] / 1000
+        mse = means(setup, 1000).mse_x
         checkpoints = mse[[0, 9, 19, 34, 49]]
         assert np.all(np.diff(checkpoints) < 0)
 
@@ -180,7 +183,7 @@ class TestKalman:
             replays = [reference.replay(s, t) for t in range(4)]
             np.testing.assert_allclose(res.extras["final_estimate"], [f for _, f in replays], atol=1e-9)
             aoa = np.stack([series["aoa_error_deg"] for series, _ in replays])
-            np.testing.assert_allclose(res.sums["aoa_error_deg"], aoa.sum(axis=0), rtol=1e-9)
+            np.testing.assert_allclose(res.stats.series().aoa_error_deg, aoa.mean(axis=0), rtol=1e-9)
             assert np.all(aoa <= 90.0 + 1e-9)
             if q > 0:
                 assert np.isclose(aoa, 90.0, atol=1e-9).mean() > 0.25

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack import dynamics
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
+from beamtrack.metrics import METRIC_NAMES
 from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star
 
 import reference
@@ -42,29 +45,28 @@ class TestOpLevelParity:
         # trial when fed the same per-trial noise stream
         setup = base_setup(algorithm=algorithm)
         n_trials = 8
-        res = run_chunk(setup, 0, n_trials)
-        sums = {k: np.zeros(setup.n_slots) for k in res.sums}
-        for t in range(n_trials):
-            series, _ = reference.replay(setup, t)
-            for k in sums:
-                sums[k] += series[k]
-        for k in sums:
-            np.testing.assert_allclose(res.sums[k], sums[k], rtol=1e-8, atol=1e-10)
+        res = run_chunk(setup, 0, n_trials).stats.series()
+        replays = [reference.replay(setup, t)[0] for t in range(n_trials)]
+        for k in METRIC_NAMES:
+            expected = np.mean([series[k] for series in replays], axis=0)
+            np.testing.assert_allclose(res.metric(k), expected, rtol=1e-8, atol=1e-10)
 
     def test_no_noise_skips_draws(self):
         setup = base_setup(no_noise=True, x0_mode="true")
-        res1 = run_chunk(setup, 0, 4)
-        res2 = run_chunk(setup, 0, 4)
-        for k in res1.sums:
-            np.testing.assert_array_equal(res1.sums[k], res2.sums[k])
+        res1 = run_chunk(setup, 0, 4).stats
+        res2 = run_chunk(setup, 0, 4).stats
+        np.testing.assert_array_equal(res1.mean, res2.mean)
+        np.testing.assert_array_equal(res1.m2, res2.m2)
 
     def test_ls_matches_reference_model(self):
         # noise-free: the vectorized LS produces an exact channel estimate and
         # the capacity-achieving rate from the first slot (warm-started sweep)
         setup = base_setup(algorithm="ls", no_noise=True)
-        res = run_chunk(setup, 0, 3)
-        assert res.sums["mse_h"] == pytest.approx(0.0, abs=1e-18)
-        np.testing.assert_allclose(res.sums["rate"] / 3, math.log2(1 + 80), rtol=1e-12)
+        res = run_chunk(setup, 0, 3).stats.series()
+        assert res.mse_h == pytest.approx(0.0, abs=1e-18)
+        np.testing.assert_allclose(res.rate, math.log2(1 + 80), rtol=1e-12)
+        # least squares has no spatial-frequency estimate
+        assert np.isnan(res.mse_x).all() and np.isnan(res.stderr["aoa_error_deg"]).all()
 
     def test_wlan_noise_free_floor(self):
         setup = base_setup(algorithm="wlan", no_noise=True)
@@ -74,8 +76,8 @@ class TestOpLevelParity:
 
     def test_kf_noise_free_converges(self):
         setup = base_setup(algorithm="kf", no_noise=True, x0_mode="true")
-        res = run_chunk(setup, 0, 2)
-        assert res.sums["mse_x"][-1] / 2 < 1e-8
+        res = run_chunk(setup, 0, 2).stats.series()
+        assert res.mse_x[-1] < 1e-8
 
 
 class TestChunkInvariance:
@@ -84,12 +86,25 @@ class TestChunkInvariance:
         whole = run_chunk(setup, 0, 60, collect=("final_estimate",))
         a = run_chunk(setup, 0, 25, collect=("final_estimate",))
         b = run_chunk(setup, 25, 60, collect=("final_estimate",))
-        for k in whole.sums:
-            np.testing.assert_allclose(whole.sums[k], a.sums[k] + b.sums[k], rtol=1e-12)
         np.testing.assert_array_equal(
             whole.extras["final_estimate"],
             np.concatenate([a.extras["final_estimate"], b.extras["final_estimate"]]),
         )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    def test_merged_stats_equal_whole(self, sizes):
+        # chunks merged in order give the one-chunk per-slot mean and M2
+        setup = base_setup(n_slots=30)
+        edges = np.cumsum([0] + sizes)
+        parts = [run_chunk(setup, lo, hi).stats for lo, hi in zip(edges[:-1], edges[1:])]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        whole = run_chunk(setup, 0, int(edges[-1])).stats
+        assert merged.count == whole.count
+        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
+        np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-9)
 
     def test_trial_content_independent_of_chunking(self):
         setup = base_setup(n_slots=40)
@@ -110,23 +125,12 @@ class TestInitializationModes:
         np.testing.assert_array_equal(res.extras["x0_hat"], res.extras["final_x"])
         assert res.extras["init_in_mainlobe"].all()
 
-    def test_offset(self):
-        setup = base_setup(x0_mode="offset", x0_value=-0.05, model=None, n_slots=1)
-        res = run_chunk(setup, 0, 50, collect=("x0_hat", "final_x"))
-        np.testing.assert_allclose(
-            res.extras["x0_hat"],
-            np.clip(res.extras["final_x"] - 0.05, -1, 1),
-            atol=1e-15,
-        )
-
-    def test_uniform_mainlobe(self):
-        setup = base_setup(x0_mode="uniform-mainlobe", model=None, n_slots=1)
-        res = run_chunk(setup, 0, 200, collect=("x0_hat", "final_x", "init_in_mainlobe"))
-        assert res.extras["init_in_mainlobe"].all()
-
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            base_setup(x0_mode="bogus")
+        for mode in ("bogus", "offset", "uniform-mainlobe"):
+            with pytest.raises(ValueError):
+                base_setup(x0_mode=mode)
+        with pytest.raises(ValueError, match="bogus"):
+            run_chunk(base_setup(n_slots=1), 0, 1, collect=("x0_hat", "bogus"))
 
 
 class TestExcursionTracking:
@@ -159,14 +163,10 @@ class TestBaselineStreamParity:
         setup = base_setup(algorithm="wlan", n_slots=60)
         n_trials = 4
         res = run_chunk(setup, 0, n_trials, collect=("final_estimate",))
-        finals = []
-        rates = np.zeros(setup.n_slots)
-        for t in range(n_trials):
-            series, final = reference.replay(setup, t)
-            rates += series["rate"]
-            finals.append(final)
-        np.testing.assert_allclose(res.extras["final_estimate"], finals, atol=1e-12)
-        np.testing.assert_allclose(res.sums["rate"], rates, rtol=1e-9)
+        replays = [reference.replay(setup, t) for t in range(n_trials)]
+        rates = np.mean([series["rate"] for series, _ in replays], axis=0)
+        np.testing.assert_allclose(res.extras["final_estimate"], [f for _, f in replays], atol=1e-12)
+        np.testing.assert_allclose(res.stats.series().rate, rates, rtol=1e-9)
 
     def test_kf_matches_update_function(self):
         setup = base_setup(algorithm="kf", n_slots=60)

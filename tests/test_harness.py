@@ -234,3 +234,24 @@ class TestAggregation:
         np.testing.assert_allclose(series.mse_x, per_trial.mean(axis=0), rtol=1e-9)
         manual_stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(6)
         np.testing.assert_allclose(series.stderr["mse_x"], manual_stderr, rtol=1e-7)
+
+    def test_stderr_matches_per_trial_values_near_capacity(self):
+        # at 30 dB from the true direction the final-slot rates sit within
+        # ~1e-8 of a mean near 14: the spread survives only if the variance
+        # is formed from deviations, not as sum(v^2) - n*mean^2
+        from beamtrack.harness import simulate
+
+        spec = ExperimentSpec(kind="static-convergence", m_data=16, snr_db=30.0, n_slots=2000, n_trials=1024, seed=3)
+        series, extras = simulate(
+            spec, "recursive", spec.build_model(), 1024, 2000,
+            collect=("final_estimate", "final_x"), x0_mode="true",
+        )
+        x_hat, x = extras["final_estimate"], extras["final_x"]
+        per_trial = {
+            "rate": rate_closed(spec.cfg_data, x_hat, x, spec.rho),
+            "mse_h": mse_h_closed(spec.cfg_data, x_hat, x, spec.beta),
+        }
+        for name, values in per_trial.items():
+            expected = values.std(ddof=1) / math.sqrt(values.size)
+            assert expected > 0
+            np.testing.assert_allclose(series.stderr[name][-1], expected, rtol=1e-6)

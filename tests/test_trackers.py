@@ -39,6 +39,11 @@ def run_one(setup, key="final_estimate", trials=1):
     return run_chunk(setup, 0, trials, collect=(key,)).extras[key]
 
 
+def means(setup, lo=0, hi=1):
+    """Per-slot trial means of trials [lo, hi)."""
+    return run_chunk(setup, lo, hi).stats.series()
+
+
 class TestCodebook:
     def test_directions_m4(self):
         np.testing.assert_allclose(codebook_directions(ArrayConfig(4, 0.5)), [-0.75, -0.25, 0.25, 0.75])
@@ -205,8 +210,7 @@ class TestAngularStep:
                 schedule=DiminishingStep(alpha_star(CFG8)), model=model,
                 n_slots=2000, m0=16, base_seed=9, x0_mode="true",
             )
-            res = run_chunk(setup, 0, 300)
-            out[algo] = res.sums["mse_x"][-1] / 300
+            out[algo] = means(setup, 0, 300).mse_x[-1]
         assert out["angular"] == pytest.approx(out["recursive"], rel=0.2)
 
 
@@ -216,15 +220,15 @@ class TestRunTracker:
             model=dynamics.Static(0.4), no_noise=False, x0_mode="sweep",
             schedule=DiminishingStep(alpha_star(CFG8)), n_slots=50, base_seed=77,
         )
-        r1, r2 = run_chunk(s, 0, 3), run_chunk(s, 0, 3)
-        np.testing.assert_array_equal(r1.sums["mse_x"], r2.sums["mse_x"])
-        np.testing.assert_array_equal(r1.sums["rate"], r2.sums["rate"])
+        r1, r2 = means(s, 0, 3), means(s, 0, 3)
+        np.testing.assert_array_equal(r1.mse_x, r2.mse_x)
+        np.testing.assert_array_equal(r1.rate, r2.rate)
 
     def test_noise_free_monotone_convergence(self):
         s = setup8(
             x0_mode="fixed", x0_value=0.12, schedule=FixedStep(0.3 * alpha_star(CFG8)), n_slots=400,
         )
-        err = np.sqrt(run_chunk(s, 0, 1).sums["mse_x"])
+        err = np.sqrt(means(s).mse_x)
         assert np.all(np.diff(err) <= 1e-12)
         assert err[-1] < 1e-6
 
@@ -235,21 +239,21 @@ class TestRunTracker:
         )
         for t in range(4):
             # mse_x <= 4 means the estimate never left [-1, 1]
-            assert np.all(run_chunk(s, t, t + 1).sums["mse_x"] <= 4.0 + 1e-12)
+            assert np.all(means(s, t, t + 1).mse_x <= 4.0 + 1e-12)
 
     def test_angular_variant_runs(self):
         s = setup8(
             algorithm="angular", model=dynamics.Static(0.5), no_noise=False, x0_mode="sweep",
             n_slots=200, base_seed=2,
         )
-        assert run_chunk(s, 0, 4).sums["mse_x"][-1] / 4 < 0.01
+        assert means(s, 0, 4).mse_x[-1] < 0.01
 
     def test_subset_tracking_rates_use_data_array(self):
         s = setup8(
             cfg_data=ArrayConfig(16, 0.5), model=dynamics.Static(0.2), x0_mode="fixed", x0_value=0.2,
             n_slots=50,
         )
-        rate = run_chunk(s, 0, 1).sums["rate"]
+        rate = means(s).rate
         assert rate[-1] == pytest.approx(math.log2(1 + 10.0 * 16), rel=1e-9)
 
 
