@@ -1,13 +1,18 @@
 """Recursive analog beam tracking in phased antenna arrays.
 
+The tracker, its Cramer-Rao bounds and its convergence theory work in the
+spatial frequency x = sin(theta), and so does the simulator: it carries x
+alone and reports the AoA error as |asin(x_hat) - asin(x)| in degrees.
+
 Library layout:
 
-* :mod:`beamtrack.arrays` -- steering vectors, beamformers, observations,
-  likelihood, and the tracking update field.
+* :mod:`beamtrack.arrays` -- steering vectors, analog beamformers, Dirichlet
+  kernels, likelihood, and the tracking update field.
 * :mod:`beamtrack.crlb` -- Fisher information and Cramer-Rao bounds.
-* :mod:`beamtrack.trackers` -- coarse-sweep codebook, dictionary projection
-  and step-size schedules.
-* :mod:`beamtrack.dynamics` -- direction trajectory models.
+* :mod:`beamtrack.trackers` -- closed-form sweep codebook, dictionary
+  projection and step-size schedules.
+* :mod:`beamtrack.dynamics` -- direction trajectory models, returned as
+  spatial frequency x = sin(theta).
 * :mod:`beamtrack.analysis` -- convergence theory diagnostics.
 * :mod:`beamtrack.metrics` -- per-slot metrics and their trial statistics.
 * :mod:`beamtrack.engine` -- the vectorized trial runner, the only
@@ -21,14 +26,11 @@ Library layout:
 from .arrays import (
     ArrayConfig,
     BeamformingVector,
-    ChannelState,
-    SnrConfig,
     array_response,
     conjugate_beamformer,
     f_gain,
     f_gain_closed,
     log_likelihood,
-    observe,
     steering_vector,
 )
 from .crlb import (
@@ -42,7 +44,6 @@ from .trackers import (
     DiminishingStep,
     FixedStep,
     alpha_star,
-    coarse_sweep_codebook,
     initial_estimate,
     step_size,
 )
@@ -52,15 +53,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayConfig",
     "BeamformingVector",
-    "ChannelState",
-    "SnrConfig",
     "ExperimentSpec",
     "DiminishingStep",
     "FixedStep",
     "alpha_star",
     "array_response",
     "asymptotic_channel_crlb",
-    "coarse_sweep_codebook",
     "conjugate_beamformer",
     "f_gain",
     "f_gain_closed",
@@ -69,7 +67,6 @@ __all__ = [
     "log_likelihood",
     "max_fisher_information",
     "min_crlb_x",
-    "observe",
     "run_experiment",
     "steering_vector",
     "step_size",

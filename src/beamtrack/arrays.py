@@ -1,9 +1,16 @@
 """Complex baseband model of a uniform linear phased array.
 
+Steering vectors, analog beamformers, the Dirichlet kernels that give the
+matched-beamformer response in closed form, the pilot likelihood and the
+tracking update field f.  The simulator applies these closed forms to whole
+blocks of trials at once.
+
 Conventions used throughout the package:
 
 * Spatial frequency ``x = sin(theta)`` is a plain float in [-1, 1], where
-  ``theta`` is the angle of arrival in radians.
+  ``theta`` is the angle of arrival in radians.  Trackers, bounds and the
+  simulator all work in ``x``; angles appear only as trajectory parameters
+  and in the reported AoA error ``|asin(x_hat) - asin(x)|``.
 * The steering vector stores entries ``exp(-1j * 2*pi*(d/lambda) * m * x)``
   for antenna index ``m = 0 .. M-1``.
 * An analog beamforming vector holds M phase-shifter settings; its realized
@@ -45,56 +52,6 @@ class ArrayConfig:
         return np.arange(self.num_antennas, dtype=float)
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Hidden state being tracked: spatial frequency x and complex gain beta."""
-
-    x: float
-    beta: complex
-
-    def __post_init__(self):
-        if not -1.0 <= self.x <= 1.0:
-            raise ValueError(f"spatial frequency x must lie in [-1, 1], got {self.x!r}")
-        if self.beta == 0:
-            raise ValueError("channel gain beta must be nonzero")
-
-    @property
-    def theta(self) -> float:
-        """Angle of arrival in radians."""
-        return math.asin(self.x)
-
-
-@dataclass(frozen=True)
-class SnrConfig:
-    """Pilot symbol and per-antenna linear SNR.
-
-    The per-antenna noise power is always derived as sigma^2 = |p*beta|^2/rho
-    and never stored.  ``no_noise=True`` is the explicit noise-free mode
-    (an infinite-SNR sentinel): observations are returned exactly, while
-    ``rho`` keeps its finite value for likelihood and rate computations.
-    """
-
-    pilot: complex
-    rho: float
-    no_noise: bool = False
-
-    def __post_init__(self):
-        if abs(self.pilot) == 0:
-            raise ValueError("pilot must have |p| > 0")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho!r}")
-
-    @classmethod
-    def from_db(cls, snr_db: float, pilot: complex = 1.0 + 0.0j, no_noise: bool = False) -> "SnrConfig":
-        return cls(pilot=pilot, rho=10.0 ** (snr_db / 10.0), no_noise=no_noise)
-
-    def noise_sigma(self, beta: complex) -> float:
-        """Per-antenna noise standard deviation sigma = |p*beta|/sqrt(rho)."""
-        if self.no_noise:
-            return 0.0
-        return abs(self.pilot * beta) / math.sqrt(self.rho)
-
-
 class BeamformingVector:
     """M unit-modulus phase-shifter weights scaled by 1/sqrt(M).
 
@@ -129,20 +86,6 @@ class BeamformingVector:
         """Realized complex weights exp(1j*phase)/sqrt(M)."""
         return np.exp(1j * self.phases) / math.sqrt(self.num_antennas)
 
-    @classmethod
-    def from_weights(cls, w) -> "BeamformingVector":
-        """Build from realized weights, validating the unit-modulus constraint."""
-        w = np.asarray(w, dtype=complex)
-        m = w.size
-        if not np.allclose(np.abs(w), 1.0 / math.sqrt(m), rtol=0, atol=1e-9):
-            raise ValueError("weights must all have modulus 1/sqrt(M)")
-        return cls(np.angle(w))
-
-    @classmethod
-    def matched(cls, cfg: ArrayConfig, v: float) -> "BeamformingVector":
-        """Conjugate beamformer a(v)/sqrt(M) steering the mainlobe at v."""
-        return cls(-cfg.phase_factor * cfg.antenna_indices * v)
-
 
 def steering_vector(cfg: ArrayConfig, x: float) -> np.ndarray:
     """Array response a(x) with entries exp(-1j*2*pi*(d/lambda)*m*x)."""
@@ -159,7 +102,7 @@ def steering_vector_deriv(cfg: ArrayConfig, x: float) -> np.ndarray:
 
 def conjugate_beamformer(cfg: ArrayConfig, v: float) -> BeamformingVector:
     """Beamformer a(v)/sqrt(M); response to direction v equals sqrt(M)."""
-    return BeamformingVector.matched(cfg, v)
+    return BeamformingVector(-cfg.phase_factor * cfg.antenna_indices * v)
 
 
 def array_response(w: BeamformingVector, cfg: ArrayConfig, x: float) -> complex:
@@ -185,16 +128,6 @@ def dirichlet(psi, m: int):
     return out
 
 
-def matched_response(cfg: ArrayConfig, v, x):
-    """Noise-free observation w^H a(x) under the matched beamformer at v.
-
-    Equals (1/sqrt(M)) * a(v)^H a(x); vectorized over v and x.
-    """
-    m = cfg.num_antennas
-    psi = cfg.phase_factor * (np.asarray(v, dtype=float) - np.asarray(x, dtype=float))
-    return dirichlet(psi, m) / math.sqrt(m)
-
-
 def weighted_dirichlet(psi, m: int):
     """G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi), the index-weighted kernel."""
     psi = np.asarray(psi, dtype=float)
@@ -216,50 +149,6 @@ def complex_noise(rng: np.random.Generator, sigma: float) -> complex:
     re = rng.standard_normal() * s
     im = rng.standard_normal() * s
     return complex(re, im)
-
-
-def observe(
-    cfg: ArrayConfig,
-    w: BeamformingVector,
-    channel: ChannelState,
-    snr: SnrConfig,
-    rng: np.random.Generator | None = None,
-) -> complex:
-    """Normalized received pilot y = w^H a(x) + z/sqrt(rho).
-
-    In noise-free mode the response is returned exactly and the generator
-    is not consumed.
-    """
-    mean = array_response(w, cfg, channel.x)
-    if snr.no_noise:
-        return mean
-    if rng is None:
-        raise ValueError("rng is required unless snr.no_noise is set")
-    return mean + complex_noise(rng, 1.0 / math.sqrt(snr.rho))
-
-
-def received_signal(
-    cfg: ArrayConfig,
-    w: BeamformingVector,
-    channel: ChannelState,
-    snr: SnrConfig,
-    rng: np.random.Generator | None = None,
-) -> complex:
-    """Raw combined pilot r = p*beta*w^H a(x) + sigma*z."""
-    mean = snr.pilot * channel.beta * array_response(w, cfg, channel.x)
-    sigma = snr.noise_sigma(channel.beta)
-    if sigma == 0.0:
-        return mean
-    if rng is None:
-        raise ValueError("rng is required unless snr.no_noise is set")
-    return mean + complex_noise(rng, sigma)
-
-
-def normalize(r: complex, pilot: complex, beta: complex) -> complex:
-    """Normalize a raw pilot: y = r/(p*beta); rejects p = 0 or beta = 0."""
-    if pilot == 0 or beta == 0:
-        raise ValueError("cannot normalize with zero pilot or zero beta")
-    return r / (pilot * beta)
 
 
 def log_likelihood(cfg: ArrayConfig, y: complex, x: float, w: BeamformingVector, rho: float) -> float:

@@ -17,10 +17,8 @@ import os
 import secrets
 import sys
 
-from .arrays import ArrayConfig
-from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
+from .crlb import max_fisher_information, min_crlb_x
 from .harness import (
-    KINDS,
     ConfigError,
     ExperimentSpec,
     run_experiment,
@@ -168,50 +166,51 @@ def _print_theory(result) -> None:
             print(f"convergence bound     = not applicable ({bound.reason})")
 
 
-def _run_crlb(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else {}
-    overrides = _overrides_from(args)
-    merged = dict(config)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    m = int(merged.get("m_data", 16))
-    spacing = float(merged.get("spacing_ratio", 0.5))
-    snr_db = float(merged.get("snr_db", 10.0))
-    pilot = merged.get("pilot", (1 - 1j) / math.sqrt(2))
-    beta = merged.get("beta", (1 + 1j) / math.sqrt(2))
-    cfg = ArrayConfig(m, spacing)
-    rho = 10.0 ** (snr_db / 10.0)
-    sigma2 = abs(pilot * beta) ** 2 / rho
+def _parse_slots_list(text: str) -> list[int]:
+    try:
+        slots = [int(v) for v in text.split(",")]
+        if min(slots) >= 1:
+            return slots
+    except ValueError:
+        pass
+    raise ConfigError(f"slots_list: entries must be integers >= 1, got {text!r}")
+
+
+def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> int:
+    cfg, rho = spec.cfg_data, spec.rho
     imax = max_fisher_information(cfg, rho)
     print(f"I_max                  = {imax:.6g}")
-    ns = [int(v) for v in args.slots_list.split(",")]
     rows = [("i_max", "theory", imax)]
-    for n in ns:
+    for n in slots:
         val = min_crlb_x(cfg, rho, n)
         print(f"min CRLB(x), n={n:<7d}= {val:.6g}")
         rows.append((f"min_crlb_x@n={n}", "theory", val))
-    limit = asymptotic_channel_crlb(cfg, sigma2, abs(pilot) ** 2)
+    limit = spec.channel_crlb_limit()
     print(f"n*MSE(h) limit         = {limit:.6g}")
     rows.append(("crlb_n_mse_h_limit", "theory", limit))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_summary_csv(os.path.join(args.out, "crlb.csv"), rows)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write_summary_csv(os.path.join(out_dir, "crlb.csv"), rows)
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "crlb":
-            return _run_crlb(args)
-        kind = _SUBCOMMAND_KIND[args.command]
         config = load_config(args.config) if args.config else {}
         overrides = _overrides_from(args)
-        if overrides.get("seed") is None and "seed" not in config:
-            overrides["seed"] = secrets.randbelow(2**31)
-        spec = build_spec(kind, config, overrides)
+        if args.command == "crlb":
+            spec = build_spec("theory-diagnostics", config, overrides)
+            slots = _parse_slots_list(args.slots_list)
+        else:
+            if overrides.get("seed") is None and "seed" not in config:
+                overrides["seed"] = secrets.randbelow(2**31)
+            spec = build_spec(_SUBCOMMAND_KIND[args.command], config, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "crlb":
+        return _run_crlb(spec, slots, args.out)
 
     try:
         result = run_experiment(spec, out_dir=args.out, workers=args.workers)

@@ -56,12 +56,3 @@ def asymptotic_channel_crlb(cfg: ArrayConfig, sigma2: float, pilot_power: float)
     m = cfg.num_antennas
     return (2 * m - 1) * sigma2 / (3.0 * (m - 1) * pilot_power)
 
-
-def channel_deriv_norm_sq(cfg: ArrayConfig, beta: complex) -> float:
-    """||d(beta*a(x))/dx||_2^2 = |beta|^2 * (2*pi*d/lambda)^2 * M(M-1)(2M-1)/6.
-
-    Independent of x; the local factor converting spatial-frequency MSE into
-    channel-response MSE.
-    """
-    m = cfg.num_antennas
-    return abs(beta) ** 2 * cfg.phase_factor**2 * (m - 1) * m * (2 * m - 1) / 6.0

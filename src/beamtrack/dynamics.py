@@ -1,4 +1,13 @@
-"""Beam-direction trajectory generators for static and dynamic experiments."""
+"""Beam-direction trajectory models for static and dynamic experiments.
+
+The moving models are parameterized by the angle of arrival theta in
+radians; :func:`trajectory` returns the spatial frequency x_n = sin(theta_n),
+the only coordinate the simulator uses.  Angles are limited to |theta| <=
+pi/2 (the fixed-velocity ``bound`` and the sinusoid ``amplitude``), where
+asin(sin(theta)) = theta, so the AoA error measured from x is the angle
+error.  Jitter that pushes a sinusoid sample past endfire folds back, as the
+physical direction does.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +17,12 @@ from typing import Union
 
 import numpy as np
 
+_HALF_PI = 0.5 * math.pi
+
 
 @dataclass(frozen=True)
 class Static:
-    """Constant direction: theta_n = asin(x) for every slot."""
+    """Constant spatial frequency x for every slot."""
 
     x: float
 
@@ -29,6 +40,8 @@ class SinusoidJitter:
     jitter_std: float = 0.005
 
     def __post_init__(self):
+        if abs(self.amplitude) > _HALF_PI:
+            raise ValueError(f"amplitude must satisfy |amplitude| <= pi/2, got {self.amplitude!r}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period!r}")
         if self.jitter_std < 0:
@@ -52,8 +65,8 @@ class FixedVelocity:
     def __post_init__(self):
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega!r}")
-        if not self.bound > 0:
-            raise ValueError(f"bound must be > 0, got {self.bound!r}")
+        if not 0 < self.bound <= _HALF_PI:
+            raise ValueError(f"bound must lie in (0, pi/2], got {self.bound!r}")
         if self.omega > self.bound:
             raise ValueError(f"omega must be <= bound, got {self.omega!r} > {self.bound!r}")
         if abs(self.theta0) > self.bound:
@@ -63,48 +76,21 @@ class FixedVelocity:
 TrajectoryModel = Union[Static, SinusoidJitter, FixedVelocity]
 
 
-def initial_theta(model: TrajectoryModel) -> float:
-    """Direction at n = 0, used for the one-off coarse-sweep stage."""
+def initial_x(model: TrajectoryModel) -> float:
+    """Spatial frequency at n = 0, the direction of the one-off coarse sweep."""
     if isinstance(model, Static):
-        return math.asin(model.x)
+        return model.x
     if isinstance(model, SinusoidJitter):
         return 0.0
-    return model.theta0
+    return math.sin(model.theta0)
 
 
-def advance(model: TrajectoryModel, n: int, rng: np.random.Generator | None = None, state=None):
-    """One trajectory step: returns (theta_n, x_n, state).
-
-    ``state`` threads the (theta, delta) pair for FixedVelocity; the other
-    models are memoryless in n.  Pass the state returned by the previous call
-    (or None at n = 1).
-    """
-    if n < 1:
-        raise ValueError(f"slot index n must be >= 1, got {n!r}")
-    if isinstance(model, Static):
-        theta = math.asin(model.x)
-        return theta, model.x, None
-    if isinstance(model, SinusoidJitter):
-        theta = model.amplitude * math.sin(2.0 * math.pi * n / model.period)
-        if model.jitter_std > 0:
-            if rng is None:
-                raise ValueError("rng is required for SinusoidJitter")
-            theta += model.jitter_std * rng.standard_normal()
-        return theta, math.sin(theta), None
-    theta_prev, delta = state if state is not None else (model.theta0, 1.0)
-    if abs(theta_prev + delta * model.omega) > model.bound:
-        delta = -delta
-    theta = theta_prev + delta * model.omega
-    return theta, math.sin(theta), (theta, delta)
-
-
-def trajectory(model: TrajectoryModel, n_slots: int, rng: np.random.Generator | None = None):
-    """Trajectory arrays (theta_n, x_n) for n = 1..n_slots."""
+def trajectory(model: TrajectoryModel, n_slots: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Spatial frequencies x_n for n = 1..n_slots."""
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
     if isinstance(model, Static):
-        theta = np.full(n_slots, math.asin(model.x))
-        return theta, np.full(n_slots, model.x)
+        return np.full(n_slots, model.x)
     if isinstance(model, SinusoidJitter):
         n = np.arange(1, n_slots + 1, dtype=float)
         theta = model.amplitude * np.sin(2.0 * math.pi * n / model.period)
@@ -112,9 +98,11 @@ def trajectory(model: TrajectoryModel, n_slots: int, rng: np.random.Generator | 
             if rng is None:
                 raise ValueError("rng is required for SinusoidJitter")
             theta = theta + model.jitter_std * rng.standard_normal(n_slots)
-        return theta, np.sin(theta)
+        return np.sin(theta)
     theta = np.empty(n_slots)
-    state = None
+    prev, delta = model.theta0, 1.0
     for i in range(n_slots):
-        theta[i], _, state = advance(model, i + 1, rng, state)
-    return theta, np.sin(theta)
+        if abs(prev + delta * model.omega) > model.bound:
+            delta = -delta
+        prev = theta[i] = prev + delta * model.omega
+    return np.sin(theta)

@@ -55,6 +55,9 @@ _CS_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # rows of a slot's metric block
 _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
 
+# per-trial arrays that run_chunk can return as ChunkResult.extras
+COLLECT_KEYS = ("x0_hat", "init_in_mainlobe", "final_estimate", "final_x", "excursion", "degenerate_slots")
+
 KF_OFFSET_RAD = math.radians(3.5)
 KF_P_VAR_MAX = 1e6
 
@@ -132,9 +135,12 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     Each slot's values go into one (len(METRIC_NAMES), T) block for
     ``SlotStats.record``; least squares leaves its mse_x and AoA rows NaN.
 
-    ``collect`` may request per-trial arrays: ``x0_hat``, ``init_in_mainlobe``,
-    ``final_estimate``, ``final_x``, ``excursion``, ``degenerate_slots``.
+    ``collect`` may request any of the per-trial arrays in ``COLLECT_KEYS``;
+    an unknown key raises ``ValueError`` before anything is simulated.
     """
+    for name in collect:
+        if name not in COLLECT_KEYS:
+            raise ValueError(f"unknown collect key {name!r}")
     n_trials = trial_hi - trial_lo
     if n_trials < 1:
         raise ValueError("empty trial range")
@@ -148,34 +154,24 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
 
     # --- trajectory -------------------------------------------------------
     model = setup.model
+    per_slot_traj = model is not None and not isinstance(model, dynamics.Static)
     if model is None:
         x_true0 = np.array([r.uniform(-1.0, 1.0) for r in traj_rngs])
-        thetas = np.arcsin(x_true0)  # (T,), constant over slots
-        xs = x_true0
-        per_slot_traj = False
-    elif isinstance(model, dynamics.Static):
-        thetas = np.full(n_trials, math.asin(model.x))
-        xs = np.full(n_trials, model.x)
-        x_true0 = xs
-        per_slot_traj = False
+    else:
+        x_true0 = np.full(n_trials, dynamics.initial_x(model))
+    if not per_slot_traj:
+        xs = x_true0  # (T,), constant over slots
     elif isinstance(model, dynamics.FixedVelocity):
-        thetas, xs = dynamics.trajectory(model, n)  # shared (n,) arrays
-        x_true0 = np.full(n_trials, math.sin(model.theta0))
-        per_slot_traj = True
+        xs = dynamics.trajectory(model, n)  # shared (n,) array
     else:  # SinusoidJitter: per-trial jitter realizations
-        thetas = np.empty((n_trials, n))
+        xs = np.empty((n_trials, n))
         for k, r in enumerate(traj_rngs):
-            thetas[k], _ = dynamics.trajectory(model, n, r)
-        xs = np.sin(thetas)
-        x_true0 = np.full(n_trials, math.sin(dynamics.initial_theta(model)))
-        per_slot_traj = True
+            xs[k] = dynamics.trajectory(model, n, r)
 
     def slot_truth(i):
         if not per_slot_traj:
-            return thetas, xs
-        if thetas.ndim == 1:
-            return thetas[i], xs[i]
-        return thetas[:, i], xs[:, i]
+            return xs
+        return xs[i] if xs.ndim == 1 else xs[:, i]
 
     # --- noise ------------------------------------------------------------
     sig1 = _quadrature_sigma(setup.stage1_rho, setup.no_noise)
@@ -218,9 +214,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     rho = setup.rho
     beta = setup.beta
 
-    def record(i, x_hat, x_n, theta_n):
+    def record(i, x_hat, x_n):
         d = dirichlet(cfg_d.phase_factor * (x_hat - x_n), cfg_d.num_antennas)
-        write_slot_metrics(values, cfg_d, x_hat, x_n, theta_n, d, beta, rho)
+        write_slot_metrics(values, cfg_d, x_hat, x_n, d, beta, rho)
         stats.record(i, values)
         if i >= excursion_from:
             np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
@@ -230,16 +226,16 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     if setup.algorithm == "recursive":
         v = x0_hat.copy()
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             v = np.clip(v - a_sched[i] * im_y, -1.0, 1.0)
-            record(i, v, x_n, theta_n)
+            record(i, v, x_n)
         x_hat = v
 
     elif setup.algorithm == "angular":
         th = np.arcsin(np.clip(x0_hat, -1.0, 1.0))
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             c = np.cos(th)
             degenerate = np.abs(c) < COS_GUARD
             degenerate_slots += degenerate
@@ -248,7 +244,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             th = np.clip(th - a_sched[i] / gain * im_y, -_HALF_PI, _HALF_PI)
             x_hat = np.sin(th)
-            record(i, x_hat, x_n, theta_n)
+            record(i, x_hat, x_n)
 
     elif setup.algorithm == "ls":
         p = setup.pilot
@@ -259,7 +255,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         accumulate = not per_slot_traj  # static mode averages every sweep
         ant = cfg.antenna_indices
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             j = i % m
             resp = dirichlet(cfg.phase_factor * (dirs[j] - x_n), m) / math.sqrt(m)
             r_new = pb * (resp + noise[:, i])
@@ -316,12 +312,12 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             accumulate(w, resp + warm_noise[:, k])
 
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             w, resp = sound(warm + i, x_n)
             accumulate(w, resp + noise[:, i])
             scores = (corr.real**2 + corr.imag**2) / np.maximum(norm2, 1e-300)
             x_hat = grid[np.argmax(scores, axis=1)]
-            record(i, x_hat, x_n, theta_n)
+            record(i, x_hat, x_n)
 
     elif setup.algorithm == "wlan":
         best = np.argmax(np.abs(sweep_obs), axis=1)
@@ -331,7 +327,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         run_mag = np.full(n_trials, -np.inf)
         run_idx = best.copy()
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             idx = np.clip(best + offsets[phase % 3], 0, m - 1)
             resp = dirichlet(cfg.phase_factor * (dirs[idx] - x_n), m) / math.sqrt(m)
             y = resp + noise[:, i]
@@ -345,7 +341,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
                 phase = 0
                 run_mag.fill(-np.inf)
             x_hat = dirs[best]
-            record(i, x_hat, x_n, theta_n)
+            record(i, x_hat, x_n)
 
     else:  # kf
         q = setup.kf_q
@@ -357,7 +353,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         p_var = np.full(n_trials, setup.kf_p0)
         phi = cfg.phase_factor
         for i in range(n):
-            theta_n, x_n = slot_truth(i)
+            x_n = slot_truth(i)
             sgn = 1.0 if i % 2 == 0 else -1.0
             th_p = np.clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI)
             vp = np.sin(th_p)
@@ -377,9 +373,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
                 th = np.where(np.isfinite(th), th, 0.0)
             th = np.clip(th, -_HALF_PI, _HALF_PI)
             x_hat = np.sin(th)
-            record(i, x_hat, x_n, theta_n)
+            record(i, x_hat, x_n)
 
-    _, x_f = slot_truth(n - 1)
+    x_f = slot_truth(n - 1)
     available = {
         "x0_hat": x0_hat,
         "init_in_mainlobe": init_in_mainlobe,
@@ -388,8 +384,5 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         "excursion": excursion,
         "degenerate_slots": degenerate_slots,
     }
-    try:
-        extras = {name: np.array(available[name]) for name in collect}
-    except KeyError as e:
-        raise ValueError(f"unknown collect key {e.args[0]!r}") from None
+    extras = {name: np.array(available[name]) for name in collect}
     return ChunkResult(stats=stats, extras=extras)

@@ -50,7 +50,7 @@ KINDS = (
     "theory-diagnostics",
 )
 
-_DYNAMIC_KINDS = ("dynamic-trajectory", "velocity-sweep", "max-velocity-table")
+_HALF_PI = 0.5 * math.pi
 
 
 class ConfigError(ValueError):
@@ -128,6 +128,11 @@ class ExperimentSpec:
     def cfg_data(self) -> ArrayConfig:
         return ArrayConfig(self.m_data, self.spacing_ratio)
 
+    def channel_crlb_limit(self) -> float:
+        """Limit of n*MSE(h) for the optimal tracker on the data array."""
+        sigma2 = abs(self.pilot * self.beta) ** 2 / self.rho
+        return asymptotic_channel_crlb(self.cfg_data, sigma2, abs(self.pilot) ** 2)
+
     def resolved_alpha(self) -> float:
         return self.alpha if self.alpha is not None else alpha_star(self.cfg_track)
 
@@ -172,6 +177,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("m_track: must satisfy 2 <= m_track <= m_data")
     if not spec.spacing_ratio > 0:
         raise ConfigError("spacing_ratio: must be > 0")
+    # LS inverts the sweep codebook as W^H, which is W^-1 only at half-wavelength spacing
+    if "ls" in spec.algorithms and spec.spacing_ratio != 0.5:
+        raise ConfigError(f"spacing_ratio: algorithm 'ls' needs 0.5, got {spec.spacing_ratio!r}")
     if spec.n_trials < 1:
         raise ConfigError("n_trials: must be >= 1")
     if spec.n_slots < 1:
@@ -201,8 +209,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("sinusoid_period: must be >= 1")
     if spec.sinusoid_jitter_std < 0:
         raise ConfigError("sinusoid_jitter_std: must be >= 0")
-    if not spec.bound > 0:
-        raise ConfigError("bound: must be > 0")
+    # past pi/2 the direction folds back and sin(theta) no longer identifies theta
+    if not 0 < spec.bound <= _HALF_PI:
+        raise ConfigError(f"bound: must lie in (0, pi/2], got {spec.bound!r}")
+    if abs(spec.sinusoid_amplitude) > _HALF_PI:
+        raise ConfigError(f"sinusoid_amplitude: |amplitude| must be <= pi/2, got {spec.sinusoid_amplitude!r}")
     if abs(spec.theta0) > spec.bound:
         raise ConfigError("theta0: must lie within [-bound, bound]")
     # a fixed-velocity triangle wave stays within +-bound only for omega <= bound
@@ -349,8 +360,7 @@ def _run_static(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     summary = []
     cap = capacity(spec.cfg_data, spec.rho)
     summary.append(("capacity_bits", "theory", cap))
-    sigma2 = abs(spec.pilot * spec.beta) ** 2 / spec.rho
-    crlb_h_limit = asymptotic_channel_crlb(spec.cfg_data, sigma2, abs(spec.pilot) ** 2)
+    crlb_h_limit = spec.channel_crlb_limit()
     summary.append(("crlb_n_mse_h_limit", "theory", crlb_h_limit))
     for algo in spec.algorithms:
         s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)

@@ -67,19 +67,19 @@ def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
     return _rate(dirichlet(psi, m), m, rho)
 
 
-def aoa_error_deg(x_hat, theta):
-    """|asin(x_hat) - theta| in degrees."""
+def aoa_error_deg(x_hat, x):
+    """AoA error |asin(x_hat) - asin(x)| in degrees."""
     est = np.arcsin(np.clip(np.asarray(x_hat, dtype=float), -1.0, 1.0))
-    return np.abs(est - np.asarray(theta, dtype=float)) * (180.0 / math.pi)
+    return np.abs(est - np.arcsin(x)) * (180.0 / math.pi)
 
 
-def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, theta, d, beta: complex, rho: float):
+def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, d, beta: complex, rho: float):
     """Fill the METRIC_NAMES rows of ``out`` for estimates ``x_hat`` of ``x``,
     given d = D_M(phi*(x_hat - x)) on the data array ``cfg``."""
     m = cfg.num_antennas
     out[0] = _mse_h(d, m, beta)
     out[1] = (x_hat - x) ** 2
-    out[2] = aoa_error_deg(x_hat, theta)
+    out[2] = aoa_error_deg(x_hat, x)
     out[3] = _rate(d, m, rho)
 
 

@@ -1,11 +1,11 @@
 """Building blocks of the two-stage recursive analog beam tracker.
 
-The tracker runs in two stages.  Stage 1 sweeps a unitary codebook of M
-beams and projects the observations on a redundant direction dictionary to
-obtain an initial estimate.  Stage 2 spends one pilot per slot: it matches
-the beamformer to the current estimate and corrects it with the imaginary
-part of the observation, scaled by a step size and clamped to the valid
-domain.  This module holds the codebook, the dictionary projection and the
+The tracker runs in two stages.  Stage 1 sweeps a codebook of M matched
+beams (unitary at half-wavelength spacing) and projects the observations
+on a redundant direction dictionary to obtain an initial estimate.  Stage 2
+spends one pilot per slot: it matches the beamformer to the current
+estimate and corrects it with the imaginary part of the observation,
+scaled by a step size and clamped to the valid domain.  This module holds the codebook, the dictionary projection and the
 step-size schedules; the slot recursions run in :mod:`beamtrack.engine`.
 """
 
@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .arrays import ArrayConfig, BeamformingVector, conjugate_beamformer
+from .arrays import ArrayConfig
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,14 @@ def codebook_directions(cfg: ArrayConfig) -> np.ndarray:
     return (2.0 * np.arange(1, m + 1) - (m + 1)) / m
 
 
-def coarse_sweep_codebook(cfg: ArrayConfig) -> list[BeamformingVector]:
-    """The M matched beams used for stage-1 sweeping.
-
-    At half-wavelength spacing the stacked weight matrix is unitary.
-    """
-    return [conjugate_beamformer(cfg, v) for v in codebook_directions(cfg)]
-
-
 def sweep_matrix(cfg: ArrayConfig) -> np.ndarray:
-    """Weight matrix with the codebook beams as columns (M x M)."""
-    return np.stack([w.weights for w in coarse_sweep_codebook(cfg)], axis=1)
+    """Stage-1 sweep codebook, one matched beam a(dir_j)/sqrt(M) per column.
+
+    Entry (k, j) is exp(-1j*phi*k*dir_j)/sqrt(M) with phi = 2*pi*d/lambda.
+    At half-wavelength spacing the matrix is unitary.
+    """
+    k_dir = np.outer(cfg.antenna_indices, codebook_directions(cfg))
+    return np.exp(-1j * cfg.phase_factor * k_dir) / math.sqrt(cfg.num_antennas)
 
 
 def initial_dictionary(m0: int) -> np.ndarray:

@@ -1,26 +1,33 @@
-"""Scalar per-trial reference loops that the engine tests compare against.
+"""Scalar per-pilot signal model and per-trial reference loops.
 
-Not a test module (pytest does not collect it).  :func:`replay` re-runs one
-trial of ``engine.run_chunk`` slot by slot from explicit steering vectors and
-beamformers (``arrays.observe``): the same per-trial noise stream, drawn in
-the engine's order (M stage-1 sweep samples, then one sample per slot), and
-one update per pilot.  Deterministic trajectories only (``Static`` and
-``FixedVelocity``), with the ``sweep``, ``fixed`` and ``true`` starts.
+Not a test module (pytest does not collect it).  The first half is the
+explicit per-pilot model -- channel state, SNR, one observation per
+beamformer -- that the vectorized engine replaces with closed forms; the
+tests check it against the closed forms in :mod:`beamtrack.arrays`.
+
+:func:`replay` re-runs one trial of ``engine.run_chunk`` slot by slot from
+explicit steering vectors and beamformers (:func:`observe`): the same
+per-trial noise stream, drawn in the engine's order (M stage-1 sweep
+samples, then one sample per slot), and one update per pilot.
+Deterministic trajectories only (``Static`` and ``FixedVelocity``), with
+the ``sweep``, ``fixed`` and ``true`` starts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from beamtrack import dynamics
 from beamtrack.arrays import (
-    ChannelState,
-    SnrConfig,
+    ArrayConfig,
+    BeamformingVector,
+    array_response,
+    complex_noise,
     conjugate_beamformer,
-    matched_response,
-    observe,
+    dirichlet,
     steering_vector,
     weighted_dirichlet,
 )
@@ -31,9 +38,122 @@ from beamtrack.engine import (
     trial_streams,
 )
 from beamtrack.metrics import METRIC_NAMES, aoa_error_deg
-from beamtrack.trackers import codebook_directions, coarse_sweep_codebook, initial_estimate, step_size
+from beamtrack.trackers import codebook_directions, initial_estimate, step_size
 
 HALF_PI = 0.5 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# per-pilot signal model
+
+
+@dataclass(frozen=True)
+class ChannelState:
+    """Hidden state being tracked: spatial frequency x and complex gain beta."""
+
+    x: float
+    beta: complex
+
+    def __post_init__(self):
+        if not -1.0 <= self.x <= 1.0:
+            raise ValueError(f"spatial frequency x must lie in [-1, 1], got {self.x!r}")
+        if self.beta == 0:
+            raise ValueError("channel gain beta must be nonzero")
+
+
+@dataclass(frozen=True)
+class SnrConfig:
+    """Pilot symbol and per-antenna linear SNR.
+
+    The per-antenna noise power is always derived as sigma^2 = |p*beta|^2/rho
+    and never stored.  ``no_noise=True`` is the explicit noise-free mode
+    (an infinite-SNR sentinel): observations are returned exactly, while
+    ``rho`` keeps its finite value for likelihood and rate computations.
+    """
+
+    pilot: complex
+    rho: float
+    no_noise: bool = False
+
+    def __post_init__(self):
+        if abs(self.pilot) == 0:
+            raise ValueError("pilot must have |p| > 0")
+        if not self.rho > 0:
+            raise ValueError(f"rho must be > 0, got {self.rho!r}")
+
+    @classmethod
+    def from_db(cls, snr_db: float, pilot: complex = 1.0 + 0.0j, no_noise: bool = False) -> "SnrConfig":
+        return cls(pilot=pilot, rho=10.0 ** (snr_db / 10.0), no_noise=no_noise)
+
+    def noise_sigma(self, beta: complex) -> float:
+        """Per-antenna noise standard deviation sigma = |p*beta|/sqrt(rho)."""
+        if self.no_noise:
+            return 0.0
+        return abs(self.pilot * beta) / math.sqrt(self.rho)
+
+
+def from_weights(w) -> BeamformingVector:
+    """Beamformer from realized weights, validating the unit-modulus constraint."""
+    w = np.asarray(w, dtype=complex)
+    if not np.allclose(np.abs(w), 1.0 / math.sqrt(w.size), rtol=0, atol=1e-9):
+        raise ValueError("weights must all have modulus 1/sqrt(M)")
+    return BeamformingVector(np.angle(w))
+
+
+def matched_response(cfg: ArrayConfig, v, x):
+    """Noise-free observation w^H a(x) under the matched beamformer at v.
+
+    Equals (1/sqrt(M)) * a(v)^H a(x); vectorized over v and x.
+    """
+    m = cfg.num_antennas
+    psi = cfg.phase_factor * (np.asarray(v, dtype=float) - np.asarray(x, dtype=float))
+    return dirichlet(psi, m) / math.sqrt(m)
+
+
+def observe(cfg, w, channel, snr, rng=None) -> complex:
+    """Normalized received pilot y = w^H a(x) + z/sqrt(rho).
+
+    In noise-free mode the response is returned exactly and the generator
+    is not consumed.
+    """
+    mean = array_response(w, cfg, channel.x)
+    if snr.no_noise:
+        return mean
+    if rng is None:
+        raise ValueError("rng is required unless snr.no_noise is set")
+    return mean + complex_noise(rng, 1.0 / math.sqrt(snr.rho))
+
+
+def received_signal(cfg, w, channel, snr, rng=None) -> complex:
+    """Raw combined pilot r = p*beta*w^H a(x) + sigma*z."""
+    mean = snr.pilot * channel.beta * array_response(w, cfg, channel.x)
+    sigma = snr.noise_sigma(channel.beta)
+    if sigma == 0.0:
+        return mean
+    if rng is None:
+        raise ValueError("rng is required unless snr.no_noise is set")
+    return mean + complex_noise(rng, sigma)
+
+
+def normalize(r: complex, pilot: complex, beta: complex) -> complex:
+    """Normalize a raw pilot: y = r/(p*beta); rejects p = 0 or beta = 0."""
+    if pilot == 0 or beta == 0:
+        raise ValueError("cannot normalize with zero pilot or zero beta")
+    return r / (pilot * beta)
+
+
+def channel_deriv_norm_sq(cfg: ArrayConfig, beta: complex) -> float:
+    """||d(beta*a(x))/dx||_2^2 = |beta|^2 * (2*pi*d/lambda)^2 * M(M-1)(2M-1)/6.
+
+    Independent of x; the local factor converting spatial-frequency MSE into
+    channel-response MSE.
+    """
+    m = cfg.num_antennas
+    return abs(beta) ** 2 * cfg.phase_factor**2 * (m - 1) * m * (2 * m - 1) / 6.0
+
+
+# ---------------------------------------------------------------------------
+# per-trial reference loops
 
 
 def mse_h(cfg, x_hat, channel):
@@ -52,13 +172,6 @@ def _tracking_cfg(setup):
     return setup.cfg_track if setup.algorithm in ("recursive", "angular") else setup.cfg_data
 
 
-def _x_start(model):
-    """Direction of the coarse sweep, as the engine takes it."""
-    if isinstance(model, dynamics.Static):
-        return model.x
-    return math.sin(dynamics.initial_theta(model))
-
-
 def stage1(setup, trial):
     """Replay one trial's coarse sweep.
 
@@ -68,8 +181,9 @@ def stage1(setup, trial):
     cfg = _tracking_cfg(setup)
     _, noise_rng, _ = trial_streams(setup.base_seed, trial)
     snr1 = SnrConfig(pilot=setup.pilot, rho=setup.stage1_rho, no_noise=setup.no_noise)
-    channel = ChannelState(_x_start(setup.model), setup.beta)
-    obs = np.array([observe(cfg, w, channel, snr1, noise_rng) for w in coarse_sweep_codebook(cfg)])
+    channel = ChannelState(dynamics.initial_x(setup.model), setup.beta)
+    beams = [conjugate_beamformer(cfg, v) for v in codebook_directions(cfg)]
+    obs = np.array([observe(cfg, w, channel, snr1, noise_rng) for w in beams])
     return obs, float(initial_estimate(cfg, obs, setup.m0)), noise_rng
 
 
@@ -107,11 +221,11 @@ def replay(setup, trial):
     if setup.x0_mode == "fixed":
         x0_hat = min(max(setup.x0_value, -1.0), 1.0)
     elif setup.x0_mode == "true":
-        x0_hat = _x_start(setup.model)
+        x0_hat = dynamics.initial_x(setup.model)
     elif setup.x0_mode != "sweep":
         raise ValueError(f"no reference for x0_mode {setup.x0_mode!r}")
     snr = SnrConfig(pilot=setup.pilot, rho=setup.rho, no_noise=setup.no_noise)
-    thetas, xs = dynamics.trajectory(setup.model, n)
+    xs = dynamics.trajectory(setup.model, n)
     dirs = codebook_directions(cfg)
 
     est = math.asin(x0_hat) if algo in ("angular", "kf") else x0_hat
@@ -152,6 +266,6 @@ def replay(setup, trial):
             raise ValueError(f"no reference for algorithm {algo!r}")
         out["mse_h"][i] = mse_h(cfg_d, x_hat, channel)
         out["mse_x"][i] = (x_hat - channel.x) ** 2
-        out["aoa_error_deg"][i] = aoa_error_deg(x_hat, thetas[i])
+        out["aoa_error_deg"][i] = aoa_error_deg(x_hat, channel.x)
         out["rate"][i] = rate(cfg_d, conjugate_beamformer(cfg_d, x_hat), channel, setup.rho)
     return out, x_hat

@@ -6,6 +6,7 @@ import pytest
 from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import ALGORITHMS, KF_OFFSET_RAD, TrialSetup, cs_dictionary, run_chunk
+from beamtrack.harness import ConfigError, ExperimentSpec
 from beamtrack.trackers import DiminishingStep, alpha_star, codebook_directions
 
 import reference
@@ -67,6 +68,15 @@ class TestLeastSquares:
     def test_seeded_determinism(self):
         s = setup16("ls", no_noise=False, rho=5.0, model=dynamics.Static(-0.2), n_slots=20, base_seed=3)
         np.testing.assert_array_equal(means(s, 3).mse_h, means(s, 3).mse_h)
+
+    def test_rejected_off_half_wavelength(self):
+        # LS inverts the sweep codebook as W^H, which is W^-1 only at spacing
+        # 0.5: noise-free static LS at M = 8, x = 0.3 ended with mse_h 7.04
+        # at spacing 0.25 and 8.0 (= M) at 1.0
+        for spacing in (0.25, 0.75, 1.0):
+            with pytest.raises(ConfigError, match="spacing_ratio"):
+                ExperimentSpec(kind="static-convergence", m_data=8, spacing_ratio=spacing, algorithms=("ls",))
+            ExperimentSpec(kind="static-convergence", m_data=8, spacing_ratio=spacing)
 
 
 class TestCompressedSensing:

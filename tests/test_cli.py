@@ -64,6 +64,32 @@ class TestCrlbCommand:
         limit = float(re.search(r"n\*MSE\(h\) limit\s*=\s*([0-9.e+-]+)", out).group(1))
         assert limit == pytest.approx(0.068889, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--m", "1"], "m_data"),
+            (["--snr-db", "5000"], "snr_db"),
+            (["--slots-list", "0"], "slots_list"),
+            (["--slots-list", "a"], "slots_list"),
+        ],
+    )
+    def test_invalid_input_exits_2_naming_field(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, "crlb", *argv)
+        assert code == 2
+        assert field in err
+        assert out == ""
+
+    def test_values_follow_spec_defaults(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "crlb", "--m", "8", "--slots-list", "1,100", "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "crlb.csv").read_text().splitlines()
+        assert rows[0] == "param,algorithm,value"
+        values = {r.split(",")[0]: float(r.split(",")[2]) for r in rows[1:]}
+        assert values["i_max"] == pytest.approx(1960 * math.pi**2, rel=1e-12)
+        assert values["min_crlb_x@n=100"] == pytest.approx(1 / (100 * 1960 * math.pi**2), rel=1e-12)
+        # sigma^2 = |p*beta|^2/rho with the default unit-modulus pilot and gain
+        assert values["crlb_n_mse_h_limit"] == pytest.approx(15 * 0.1 / 21, rel=1e-12)
+
 
 class TestConfigHandling:
     def test_missing_config_exits_2(self, capsys, tmp_path):
@@ -113,12 +139,20 @@ _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NEGATIVE = st.floats(max_value=-1e-9, allow_infinity=False)
 _ABOVE_BOUND = st.floats(min_value=BOUND * (1 + 1e-9), max_value=100.0)
 _OUT_OF_DB_RANGE = st.floats(min_value=300.001, max_value=1e6) | st.floats(min_value=-1e6, max_value=-300.001)
+# angles past endfire, where sin(theta) folds back
+_PAST_ENDFIRE = st.floats(min_value=math.pi / 2 * (1 + 1e-9), max_value=10.0)
+_NOT_HALF = st.floats(min_value=1e-3, max_value=10.0).filter(lambda v: v != 0.5)
+_BAD_SLOT_ENTRY = st.integers(max_value=0).map(str) | st.sampled_from(["a", "2.5", "1e3", "", "x1"])
+_BAD_SLOTS_LIST = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=10**6).map(str), max_size=2), _BAD_SLOT_ENTRY
+).map(lambda t: ",".join(t[0] + [t[1]]))
 
 
 def _bad_field_cases():
-    """(subcommand, field, bad value): one invalid field in an otherwise valid spec."""
-    def case(command, field, values):
-        return st.tuples(st.just(command), st.just(field), values)
+    """(subcommand, field, bad value, extra config): one invalid field in an
+    otherwise valid spec; ``slots_list`` goes on the command line."""
+    def case(command, field, values, extra=None):
+        return st.tuples(st.just(command), st.just(field), values, st.just(extra or {}))
 
     bad_omegas = st.tuples(
         st.lists(st.floats(min_value=0.0, max_value=BOUND), max_size=2),
@@ -135,7 +169,12 @@ def _bad_field_cases():
             case("dynamic", "omega", _NEGATIVE | _ABOVE_BOUND),
             case("sweep", "omegas", bad_omegas),
             case("table1", "omega_hi", _ABOVE_BOUND),
-            case("dynamic", "bound", st.floats(max_value=0.0, allow_infinity=False)),
+            case("dynamic", "bound", st.floats(max_value=0.0, allow_infinity=False) | _PAST_ENDFIRE),
+            case("dynamic", "sinusoid_amplitude", _PAST_ENDFIRE | _PAST_ENDFIRE.map(lambda v: -v)),
+            case("static", "spacing_ratio", _NOT_HALF, {"algorithms": ["ls"]}),
+            case("crlb", "m_data", st.integers(max_value=1)),
+            case("crlb", "snr_db", _OUT_OF_DB_RANGE),
+            case("crlb", "slots_list", _BAD_SLOTS_LIST),
             case("dynamic", "theta0", _ABOVE_BOUND | _ABOVE_BOUND.map(lambda v: -v)),
             case("dynamic", "traj_kind", st.sampled_from(["", "circle", "Sinusoid"])),
             case("dynamic", "sinusoid_period", st.integers(max_value=0)),
@@ -148,18 +187,22 @@ class TestInvalidSpecFuzz:
     @given(_bad_field_cases())
     @settings(max_examples=80, deadline=None)
     def test_one_bad_field_exits_2_naming_it(self, bad):
-        command, field, value = bad
-        config = {"m_data": 4, "n_trials": 2, "n_slots": 3, "seed": 1, "omegas": [0.01]}
+        command, field, value, extra = bad
+        config = {"m_data": 4, "n_trials": 2, "n_slots": 3, "seed": 1, "omegas": [0.01], **extra}
         if command == "dynamic" and field != "traj_kind":
             config["traj_kind"] = "fixed-velocity"
-        config[field] = value
+        argv = [command]
+        if field == "slots_list":
+            argv.append(f"--slots-list={value}")
+        else:
+            config[field] = value
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "--config", path])
+                code = main(argv + ["--config", path])
         assert code == 2, (command, field, value, err.getvalue())
         assert field in err.getvalue()
 

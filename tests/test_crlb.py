@@ -13,11 +13,11 @@ from beamtrack.arrays import (
 )
 from beamtrack.crlb import (
     asymptotic_channel_crlb,
-    channel_deriv_norm_sq,
     fisher_information,
     max_fisher_information,
     min_crlb_x,
 )
+from reference import channel_deriv_norm_sq
 
 
 class TestFisherInformation:

@@ -5,32 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack.dynamics import FixedVelocity, SinusoidJitter, Static, advance, trajectory
+from beamtrack.dynamics import FixedVelocity, SinusoidJitter, Static, initial_x, trajectory
 
 
 class TestStatic:
     def test_constant(self):
-        theta, x = trajectory(Static(0.5), 100)
+        x = trajectory(Static(0.5), 100)
         assert np.all(x == 0.5)
-        assert np.all(theta == math.asin(0.5))
+        assert initial_x(Static(0.5)) == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Static(1.5)
+        with pytest.raises(ValueError):
+            trajectory(Static(0.0), 0)
 
 
 class TestSinusoidJitter:
     def test_peak_without_jitter(self):
         model = SinusoidJitter(jitter_std=0.0)
-        theta, x = trajectory(model, 250)
-        assert theta[-1] == pytest.approx(math.pi / 3)
+        x = trajectory(model, 250)
         assert x[-1] == pytest.approx(math.sin(math.pi / 3))
+        assert initial_x(model) == 0.0
 
     def test_jitter_statistics(self):
         model = SinusoidJitter()
         rng = np.random.default_rng(0)
-        theta, _ = trajectory(model, 20_000, rng)
-        clean, _ = trajectory(SinusoidJitter(jitter_std=0.0), 20_000)
+        theta = np.arcsin(trajectory(model, 20_000, rng))
+        clean = np.arcsin(trajectory(SinusoidJitter(jitter_std=0.0), 20_000))
         resid = theta - clean
         assert resid.std() == pytest.approx(0.005, rel=0.05)
 
@@ -39,15 +41,21 @@ class TestSinusoidJitter:
             trajectory(SinusoidJitter(), 10)
 
     def test_seeded_determinism(self):
-        t1, _ = trajectory(SinusoidJitter(), 500, np.random.default_rng(9))
-        t2, _ = trajectory(SinusoidJitter(), 500, np.random.default_rng(9))
-        np.testing.assert_array_equal(t1, t2)
+        x1 = trajectory(SinusoidJitter(), 500, np.random.default_rng(9))
+        x2 = trajectory(SinusoidJitter(), 500, np.random.default_rng(9))
+        np.testing.assert_array_equal(x1, x2)
+
+    def test_amplitude_limited_to_endfire(self):
+        SinusoidJitter(amplitude=-math.pi / 2)
+        for amplitude in (math.pi / 2 + 1e-9, -3.0):
+            with pytest.raises(ValueError, match="amplitude"):
+                SinusoidJitter(amplitude=amplitude)
 
 
 class TestFixedVelocity:
     def test_first_steps_and_reversal(self):
         model = FixedVelocity(0.064)
-        theta, _ = trajectory(model, 40)
+        theta = np.arcsin(trajectory(model, 40))
         assert theta[0] == pytest.approx(0.064)
         # rises monotonically until the bound, then reverses
         diffs = np.diff(theta)
@@ -57,8 +65,7 @@ class TestFixedVelocity:
         assert np.all(np.abs(theta) <= math.pi / 3 + 1e-12)
 
     def test_zero_velocity(self):
-        theta, x = trajectory(FixedVelocity(0.0), 10)
-        assert np.all(theta == 0.0)
+        x = trajectory(FixedVelocity(0.0), 10)
         assert np.all(x == 0.0)
 
     @given(
@@ -73,17 +80,8 @@ class TestFixedVelocity:
             with pytest.raises(ValueError):
                 FixedVelocity(omega, bound=bound, theta0=start * bound)
             return
-        theta, x = trajectory(FixedVelocity(omega, bound=bound, theta0=start * bound), 300)
-        assert np.all(np.abs(theta) <= bound + 1e-12)
-        assert np.all(np.abs(x) <= 1.0)
-
-    def test_advance_matches_trajectory(self):
-        model = FixedVelocity(0.13)
-        theta, _ = trajectory(model, 50)
-        state = None
-        for n in range(1, 51):
-            t, _, state = advance(model, n, None, state)
-            assert t == pytest.approx(theta[n - 1], abs=1e-15)
+        x = trajectory(FixedVelocity(omega, bound=bound, theta0=start * bound), 300)
+        assert np.all(np.abs(np.arcsin(x)) <= bound + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -91,7 +89,9 @@ class TestFixedVelocity:
         with pytest.raises(ValueError):
             FixedVelocity(0.1, bound=0.5, theta0=0.7)
 
-
-def test_advance_rejects_bad_slot():
-    with pytest.raises(ValueError):
-        advance(Static(0.0), 0)
+    def test_bound_limited_to_endfire(self):
+        x = trajectory(FixedVelocity(0.3, bound=math.pi / 2, theta0=-1.5), 50)
+        assert np.all(np.abs(x) <= 1.0)
+        for bound in (math.pi / 2 + 1e-9, 3.0):
+            with pytest.raises(ValueError, match="bound"):
+                FixedVelocity(0.1, bound=bound)

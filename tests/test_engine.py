@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack import dynamics
+from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
 from beamtrack.metrics import METRIC_NAMES
@@ -125,12 +125,20 @@ class TestInitializationModes:
         np.testing.assert_array_equal(res.extras["x0_hat"], res.extras["final_x"])
         assert res.extras["init_in_mainlobe"].all()
 
-    def test_rejects_unknown(self):
+    def test_rejects_unknown(self, monkeypatch):
         for mode in ("bogus", "offset", "uniform-mainlobe"):
             with pytest.raises(ValueError):
                 base_setup(x0_mode=mode)
-        with pytest.raises(ValueError, match="bogus"):
-            run_chunk(base_setup(n_slots=1), 0, 1, collect=("x0_hat", "bogus"))
+        # a bad collect key fails before any trial stream is drawn
+        calls = []
+        original = engine.trial_streams
+        monkeypatch.setattr(engine, "trial_streams", lambda *a: calls.append(a) or original(*a))
+        for collect in (("bogus",), ("x0_hat", "bogus")):
+            with pytest.raises(ValueError, match="bogus"):
+                run_chunk(base_setup(n_slots=1), 0, 4, collect=collect)
+        assert calls == []
+        run_chunk(base_setup(n_slots=1), 0, 2, collect=("x0_hat",))
+        assert len(calls) == 2
 
 
 class TestExcursionTracking:

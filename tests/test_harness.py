@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from beamtrack.arrays import ArrayConfig, ChannelState, conjugate_beamformer
+from beamtrack.arrays import ArrayConfig, conjugate_beamformer
 from beamtrack.harness import (
     ConfigError,
     ExperimentSpec,
@@ -33,7 +33,7 @@ def summary_value(result, param, algo):
 class TestMetrics:
     def test_perfect_estimate(self):
         cfg = ArrayConfig(16, 0.5)
-        ch = ChannelState(0.3, BETA)
+        ch = reference.ChannelState(0.3, BETA)
         assert reference.mse_h(cfg, 0.3, ch) == pytest.approx(0.0, abs=1e-20)
         w = conjugate_beamformer(cfg, 0.3)
         assert reference.rate(cfg, w, ch, 10.0) == pytest.approx(math.log2(1 + 160), rel=1e-12)
@@ -46,7 +46,7 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x_hat, x = rng.uniform(-1, 1, 2)
-            ch = ChannelState(float(x), BETA)
+            ch = reference.ChannelState(float(x), BETA)
             assert float(mse_h_closed(cfg, x_hat, x, BETA)) == pytest.approx(
                 reference.mse_h(cfg, float(x_hat), ch), abs=1e-9
             )
@@ -64,8 +64,8 @@ class TestMetrics:
             assert ratio == pytest.approx(factor, rel=1e-3)
 
     def test_aoa_error_deg(self):
-        assert float(aoa_error_deg(0.5, math.asin(0.5))) == pytest.approx(0.0, abs=1e-12)
-        assert float(aoa_error_deg(0.0, math.radians(30))) == pytest.approx(30.0)
+        assert float(aoa_error_deg(0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
+        assert float(aoa_error_deg(0.0, math.sin(math.radians(30)))) == pytest.approx(30.0)
 
 
 class TestSpecValidation:
@@ -92,6 +92,17 @@ class TestSpecValidation:
     def test_x_range(self):
         with pytest.raises(ConfigError, match="x"):
             ExperimentSpec(kind="static-convergence", x=2.0)
+
+    def test_angles_limited_to_endfire(self):
+        # with bound = 3.0 the direction passed endfire and x = sin(theta)
+        # folded back: a noise-free recursive run at 99.998% of capacity
+        # reported up to 163.8 degrees of AoA error
+        for field in ("bound", "sinusoid_amplitude"):
+            with pytest.raises(ConfigError, match=field):
+                ExperimentSpec(kind="dynamic-trajectory", **{field: 3.0})
+        with pytest.raises(ConfigError, match="sinusoid_amplitude"):
+            ExperimentSpec(kind="dynamic-trajectory", sinusoid_amplitude=-1.6)
+        ExperimentSpec(kind="dynamic-trajectory", bound=math.pi / 2, sinusoid_amplitude=-math.pi / 2)
 
 
 class TestDeterminism:

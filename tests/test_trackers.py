@@ -5,13 +5,12 @@ import pytest
 
 from beamtrack import dynamics
 from beamtrack.analysis import mainlobe, stability_threshold
-from beamtrack.arrays import ArrayConfig, array_response, f_gain_closed
+from beamtrack.arrays import ArrayConfig, f_gain_closed, steering_vector
 from beamtrack.engine import TrialSetup, run_chunk
 from beamtrack.trackers import (
     DiminishingStep,
     FixedStep,
     alpha_star,
-    coarse_sweep_codebook,
     codebook_directions,
     initial_dictionary,
     initial_estimate,
@@ -57,10 +56,17 @@ class TestCodebook:
             wt = sweep_matrix(ArrayConfig(m, 0.5))
             np.testing.assert_allclose(wt @ wt.conj().T, np.eye(m), atol=1e-10)
 
+    def test_not_unitary_off_half_wavelength(self):
+        # why least squares, which inverts W as W^H, is limited to spacing 0.5
+        m = 8
+        gram = lambda d: sweep_matrix(ArrayConfig(m, d)).conj().T @ sweep_matrix(ArrayConfig(m, d))
+        assert np.max(np.abs(gram(0.25) - np.eye(m))) > 0.5
+        assert np.linalg.matrix_rank(sweep_matrix(ArrayConfig(m, 1.0))) == m // 2
+
     def test_beams_are_matched_to_directions(self):
         cfg = ArrayConfig(8, 0.5)
-        for w, v in zip(coarse_sweep_codebook(cfg), codebook_directions(cfg)):
-            assert array_response(w, cfg, v) == pytest.approx(math.sqrt(8), abs=1e-10)
+        for w, v in zip(sweep_matrix(cfg).T, codebook_directions(cfg)):
+            assert np.vdot(w, steering_vector(cfg, v)) == pytest.approx(math.sqrt(8), abs=1e-10)
 
 
 class TestInitialEstimate:
