@@ -177,7 +177,8 @@ def _parse_slots_list(text: str) -> list[int]:
 
 
 def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> int:
-    cfg, rho = spec.cfg_data, spec.rho
+    # x is estimated on the tracking array; the n*MSE(h) limit is of the data array
+    cfg, rho = spec.cfg_track, spec.rho
     imax = max_fisher_information(cfg, rho)
     print(f"I_max                  = {imax:.6g}")
     rows = [("i_max", "theory", imax)]

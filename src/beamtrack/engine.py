@@ -11,6 +11,13 @@ an extended Kalman filter on the angle of arrival.  A single trial ``t`` is
 kernels) replace explicit steering-vector products, so a chunk of several
 hundred trials advances one slot in a handful of elementwise operations.
 
+The compressed-sensing sounder keeps per trial a statistic of size M in place
+of its 1024-atom correlation: the probe-weighted sum of its soundings and the
+summed probe autocorrelations (see :class:`CsScorer`), from which every slot
+scores the whole grid with two matrix products.  On a moving trajectory the
+terms of the last M/2 soundings sit in a ring buffer and are summed afresh
+each slot, so no term is ever subtracted; a static run keeps running sums.
+
 Reproducibility contract: trial ``t`` owns three child streams spawned from
 ``SeedSequence([base_seed, t])`` in the order (trajectory, observation noise,
 algorithm randomness).  Within each stream, draws occur in a canonical order
@@ -51,6 +58,8 @@ ALGORITHMS = ("recursive", "angular") + BASELINE_ALGORITHMS
 
 # probe alphabet for the compressed-sensing sounder (scaled by 1/sqrt(M))
 _CS_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
+# trials scored at once: keeps the (B, 1024) score temporaries in L2 cache
+_CS_BLOCK = 32
 
 # rows of a slot's metric block
 _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
@@ -66,6 +75,77 @@ def cs_dictionary(size: int = 1024) -> np.ndarray:
     """Uniform direction grid of ``size`` atoms spanning (-1, 1)."""
     k = np.arange(size, dtype=float)
     return -1.0 + (2.0 * k + 1.0) / size
+
+
+class CsScorer:
+    """Statistic and grid scores of the compressed-sensing sounder.
+
+    The statistic of ``count`` soundings alpha_s in {+-1, +-j}^M (probes
+    before their 1/sqrt(M) scaling) with observations y_s is
+
+    * z = sum_s y_s*alpha_s, shape (T, M), and
+    * c_d = sum_s sum_k alpha_s[k+d]*conj(alpha_s[k]) for lags d = 1..M-1,
+      shape (T, M-1): Gaussian integers, so their sums are exact.
+
+    An atom g of A = [exp(-j*phi*m*g)] then has corr = z @ conj(A) and
+    norm2 = sum_s |alpha_s^H A|^2 = M*count + 2*Re sum_d c_d*exp(j*phi*d*g).
+    |corr|^2 and norm2 are both M times their values for the normalized
+    probes, so the score |corr|^2/norm2 is theirs.  Trials are scored
+    ``_CS_BLOCK`` at a time into buffers allocated once, so the temporaries
+    stay in cache and no slot pays for fresh pages.
+    """
+
+    def __init__(self, cfg: ArrayConfig, grid: np.ndarray):
+        self.grid = grid
+        self.m = cfg.num_antennas
+        self.conj_atoms = np.exp(1j * cfg.phase_factor * np.outer(cfg.antenna_indices, grid))
+        # rows 2(d-1), 2(d-1)+1: 2*cos and -2*sin of phi*d*g, the real form of
+        # 2*Re(c_d*exp(j*phi*d*g)) against c viewed as interleaved (re, im)
+        lag_phase = cfg.phase_factor * np.outer(np.arange(1, self.m), grid)
+        self.lag_basis = np.empty((2 * (self.m - 1), grid.size))
+        self.lag_basis[0::2] = 2.0 * np.cos(lag_phase)
+        self.lag_basis[1::2] = -2.0 * np.sin(lag_phase)
+        # antenna pairs (k + d, k) grouped by lag d, and each group's start
+        lags = np.repeat(np.arange(1, self.m), np.arange(self.m - 1, 0, -1))
+        self._pair_hi = np.concatenate([np.arange(d, self.m) for d in range(1, self.m)])
+        self._pair_lo = self._pair_hi - lags
+        self._lag_start = np.concatenate(([0], np.cumsum(np.arange(self.m - 1, 1, -1))))
+        self._corr = np.empty((_CS_BLOCK, grid.size), dtype=complex)
+        self._norm2 = np.empty((_CS_BLOCK, grid.size))
+        self._score = np.empty((_CS_BLOCK, grid.size))
+
+    def autocorrelation(self, alpha: np.ndarray) -> np.ndarray:
+        """(T, M-1) lag sums c_d of one sounding's (T, M) probes."""
+        pairs = alpha[:, self._pair_hi] * alpha[:, self._pair_lo].conj()
+        return np.add.reduceat(pairs, self._lag_start, axis=1)
+
+    def scores(self, z: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
+        """(B, G) scores of B <= _CS_BLOCK trials; valid until the next call.
+
+        norm2 is floored at 1e-12*M*count, far above its rounding error and
+        far below any atom a sounding hits, so the floor only lowers the score
+        of an atom that every sounding nearly misses.
+        """
+        b = z.shape[0]
+        corr, norm2, score = self._corr[:b], self._norm2[:b], self._score[:b]
+        np.matmul(z, self.conj_atoms, out=corr)
+        np.matmul(c.view(np.float64), self.lag_basis, out=norm2)
+        offset = self.m * count
+        norm2 += offset
+        np.maximum(norm2, 1e-12 * offset, out=norm2)
+        parts = corr.view(np.float64)
+        np.multiply(parts, parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=score)
+        np.divide(score, norm2, out=score)
+        return score
+
+    def pick(self, z: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
+        """Best atom of every trial (row of z and c)."""
+        x_hat = np.empty(z.shape[0])
+        for lo in range(0, z.shape[0], _CS_BLOCK):
+            rows = slice(lo, lo + _CS_BLOCK)
+            x_hat[rows] = self.grid[np.argmax(self.scores(z[rows], c[rows], count), axis=1)]
+        return x_hat
 
 
 def kf_default_process_noise(omega: float) -> float:
@@ -274,49 +354,40 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             stats.record(i, values)
 
     elif setup.algorithm == "cs":
-        grid = cs_dictionary()
-        atoms = np.exp(-1j * cfg.phase_factor * np.outer(cfg.antenna_indices, grid))
-        window = (m // 2) if per_slot_traj else None
+        scorer = CsScorer(cfg, cs_dictionary())
         probes = np.empty((n_trials, warm + n, m), dtype=np.int8)
         for k, r in enumerate(algo_rngs):
             probes[k] = r.integers(0, 4, size=(warm + n, m))
-        corr = np.zeros((n_trials, grid.size), dtype=complex)
-        norm2 = np.zeros((n_trials, grid.size))
-        history: list[tuple[np.ndarray, np.ndarray]] = []
+        window = m // 2 if per_slot_traj else 1  # static: one running sum
+        ring_z = np.zeros((window, n_trials, m), dtype=complex)
+        ring_c = np.zeros((window, n_trials, m - 1), dtype=complex)
 
-        def sound(slot_idx, x_n):
-            w = _CS_ALPHABET[probes[:, slot_idx, :]] / math.sqrt(m)
+        def sound(s, x_n, noise_s):
+            alpha = _CS_ALPHABET[probes[:, s, :]]
+            w = alpha / math.sqrt(m)
             if np.isscalar(x_n) or np.ndim(x_n) == 0:
                 a_x = np.exp(-1j * cfg.phase_factor * cfg.antenna_indices * float(x_n))
-                resp = w.conj() @ a_x
+                y = w.conj() @ a_x + noise_s
             else:
                 a_x = np.exp(-1j * cfg.phase_factor * np.multiply.outer(x_n, cfg.antenna_indices))
-                resp = np.einsum("tm,tm->t", w.conj(), a_x)
-            return w, resp
-
-        def accumulate(w, y):
-            s_row = w.conj() @ atoms
-            contrib = s_row.conj() * y[:, None]
-            contrib_n = s_row.real**2 + s_row.imag**2
-            np.add(corr, contrib, out=corr)
-            np.add(norm2, contrib_n, out=norm2)
-            if window is not None:
-                history.append((contrib, contrib_n))
-                if len(history) > window:
-                    old_c, old_n = history.pop(0)
-                    np.subtract(corr, old_c, out=corr)
-                    np.subtract(norm2, old_n, out=norm2)
+                y = np.einsum("tm,tm->t", w.conj(), a_x) + noise_s
+            z_s = y[:, None] * alpha
+            c_s = scorer.autocorrelation(alpha)
+            if per_slot_traj:
+                ring_z[s % window] = z_s
+                ring_c[s % window] = c_s
+            else:
+                ring_z[0] += z_s
+                ring_c[0] += c_s
 
         for k in range(warm):
-            w, resp = sound(k, x_true0)
-            accumulate(w, resp + warm_noise[:, k])
+            sound(k, x_true0, warm_noise[:, k])
 
         for i in range(n):
             x_n = slot_truth(i)
-            w, resp = sound(warm + i, x_n)
-            accumulate(w, resp + noise[:, i])
-            scores = (corr.real**2 + corr.imag**2) / np.maximum(norm2, 1e-300)
-            x_hat = grid[np.argmax(scores, axis=1)]
+            sound(warm + i, x_n, noise[:, i])
+            count = window if per_slot_traj else i + 1
+            x_hat = scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
             record(i, x_hat, x_n)
 
     elif setup.algorithm == "wlan":

@@ -252,13 +252,16 @@ class ExperimentResult:
 # chunked simulation
 
 
-def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool) -> int:
-    """Fixed chunking (independent of worker count) sized to bound memory."""
+def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool, m: int) -> int:
+    """Fixed chunking (independent of worker count) sized to bound memory.
+
+    The budget per trial and slot is one complex noise sample (16 B), the
+    true x of a per-trial trajectory (8 B) and, for CS, the slot's int8 probe
+    indices (``m`` B).
+    """
     base = 128 if algorithm == "cs" else 512
-    per_trial_bytes = 16 * n_slots * (2 if per_trial_traj else 1)
-    if algorithm == "cs":
-        per_trial_bytes += 16 * n_slots + 16 * 2048
-    while base > 8 and base * per_trial_bytes > 2.7e8:
+    per_slot_bytes = 16 + (8 if per_trial_traj else 0) + (m if algorithm == "cs" else 0)
+    while base > 8 and base * per_slot_bytes * n_slots > 2.7e8:
         base //= 2
     return base
 
@@ -305,7 +308,7 @@ def simulate(
         excursion_threshold_rad=excursion_threshold_rad,
     )
     per_trial_traj = isinstance(model, dynamics.SinusoidJitter)
-    chunk = _chunk_size(algorithm, n_slots, per_trial_traj)
+    chunk = _chunk_size(algorithm, n_slots, per_trial_traj, spec.cfg_data.num_antennas)
     bounds = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
     tasks = [(setup, lo, hi, tuple(collect)) for lo, hi in bounds]
 

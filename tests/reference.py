@@ -11,6 +11,10 @@ per-trial noise stream, drawn in the engine's order (M stage-1 sweep
 samples, then one sample per slot), and one update per pilot.
 Deterministic trajectories only (``Static`` and ``FixedVelocity``), with
 the ``sweep``, ``fixed`` and ``true`` starts.
+
+:func:`cs_chunk` runs the compressed-sensing sounder over a chunk of trials
+on explicit 1024-atom correlation sums, which the engine's per-trial (T, M)
+statistic must reproduce atom for atom.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from beamtrack.arrays import (
 from beamtrack.engine import (
     COS_GUARD,
     KF_OFFSET_RAD,
+    cs_dictionary,
     kf_default_process_noise,
     trial_streams,
 )
-from beamtrack.metrics import METRIC_NAMES, aoa_error_deg
+from beamtrack.metrics import METRIC_NAMES, SlotStats, aoa_error_deg, write_slot_metrics
 from beamtrack.trackers import codebook_directions, initial_estimate, step_size
 
 HALF_PI = 0.5 * math.pi
@@ -269,3 +274,90 @@ def replay(setup, trial):
         out["aoa_error_deg"][i] = aoa_error_deg(x_hat, channel.x)
         out["rate"][i] = rate(cfg_d, conjugate_beamformer(cfg_d, x_hat), channel, setup.rho)
     return out, x_hat
+
+
+def cs_chunk(setup, trial_lo, trial_hi):
+    """The compressed-sensing sounder over trials [trial_lo, trial_hi), on the grid.
+
+    Each sounding y = w^H a(x) + noise adds its whole 1024-atom correlation
+    conj(w^H A)*y and normaliser |w^H A|^2 to running grid sums; on a moving
+    trajectory the last M/2 contributions are kept in a list and the oldest
+    is subtracted again.  Same draws as ``engine.run_chunk``: trajectory,
+    noise block (M stage-1 samples, the M/2-sample warm-up on a moving
+    trajectory, one sample per slot), then (warm-up + n) x M probe indices.
+
+    Returns the (T, n) per-slot estimates and the true x: (n,) for a
+    ``FixedVelocity`` trajectory shared by every trial, else (T, n).
+    """
+    cfg = setup.cfg_data
+    m, n, phi = cfg.num_antennas, setup.n_slots, cfg.phase_factor
+    t = trial_hi - trial_lo
+    traj_rngs, noise_rngs, algo_rngs = zip(*(trial_streams(setup.base_seed, k) for k in range(trial_lo, trial_hi)))
+    model = setup.model
+    moving = model is not None and not isinstance(model, dynamics.Static)
+    if model is None:
+        x0 = np.array([r.uniform(-1.0, 1.0) for r in traj_rngs])
+    else:
+        x0 = np.full(t, dynamics.initial_x(model))
+    if isinstance(model, dynamics.SinusoidJitter):
+        xs = np.array([dynamics.trajectory(model, n, r) for r in traj_rngs])
+    elif moving:  # FixedVelocity: one (n,) trajectory shared by every trial
+        xs = dynamics.trajectory(model, n)
+    else:
+        xs = np.repeat(x0[:, None], n, axis=1)
+    warm = m // 2 if moving else 0
+    noise = np.zeros((t, m + warm + n), dtype=complex)
+    if not setup.no_noise:
+        for k, r in enumerate(noise_rngs):
+            raw = r.standard_normal((m + warm + n, 2))
+            noise[k] = raw[:, 0] + 1j * raw[:, 1]
+        noise *= math.sqrt(1.0 / (2.0 * setup.rho))
+    probes = np.array([r.integers(0, 4, size=(warm + n, m)) for r in algo_rngs], dtype=np.int8)
+
+    grid = cs_dictionary()
+    atoms = np.exp(-1j * phi * np.outer(cfg.antenna_indices, grid))
+    corr = np.zeros((t, grid.size), dtype=complex)
+    norm2 = np.zeros((t, grid.size))
+    history = []
+    x_hat = np.empty((t, n))
+    for s in range(warm + n):
+        x_s = x0 if s < warm else xs[..., s - warm]
+        w = np.array([1.0, -1.0, 1j, -1j])[probes[:, s, :]] / math.sqrt(m)
+        if np.ndim(x_s) == 0:
+            y = w.conj() @ np.exp(-1j * phi * cfg.antenna_indices * float(x_s))
+        else:
+            y = np.einsum("tm,tm->t", w.conj(), np.exp(-1j * phi * np.multiply.outer(x_s, cfg.antenna_indices)))
+        y = y + noise[:, m + s]
+        s_row = w.conj() @ atoms
+        contrib, contrib_n = s_row.conj() * y[:, None], s_row.real**2 + s_row.imag**2
+        corr += contrib
+        norm2 += contrib_n
+        if moving:
+            history.append((contrib, contrib_n))
+            if len(history) > m // 2:
+                old_c, old_n = history.pop(0)
+                corr -= old_c
+                norm2 -= old_n
+        if s >= warm:
+            scores = (corr.real**2 + corr.imag**2) / np.maximum(norm2, 1e-300)
+            x_hat[:, s - warm] = grid[np.argmax(scores, axis=1)]
+    return x_hat, xs
+
+
+def cs_means(setup, trial_lo, trial_hi):
+    """(per-slot MetricSeries, final estimates) of :func:`cs_chunk`.
+
+    The metrics go through the engine's per-slot path (``write_slot_metrics``
+    and ``SlotStats``) with the same argument shapes, so equal estimates give
+    bit-equal means.
+    """
+    x_hat, xs = cs_chunk(setup, trial_lo, trial_hi)
+    cfg = setup.cfg_data
+    stats = SlotStats.empty(trial_hi - trial_lo, setup.n_slots)
+    values = np.full((len(METRIC_NAMES), trial_hi - trial_lo), np.nan)
+    for i in range(setup.n_slots):
+        x_n = xs[..., i]
+        d = dirichlet(cfg.phase_factor * (x_hat[:, i] - x_n), cfg.num_antennas)
+        write_slot_metrics(values, cfg, x_hat[:, i], x_n, d, setup.beta, setup.rho)
+        stats.record(i, values)
+    return stats.series(), x_hat[:, -1]

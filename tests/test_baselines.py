@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import ALGORITHMS, KF_OFFSET_RAD, TrialSetup, cs_dictionary, run_chunk
 from beamtrack.harness import ConfigError, ExperimentSpec
+from beamtrack.metrics import METRIC_NAMES
 from beamtrack.trackers import DiminishingStep, alpha_star, codebook_directions
 
 import reference
@@ -79,7 +81,65 @@ class TestLeastSquares:
             ExperimentSpec(kind="static-convergence", m_data=8, spacing_ratio=spacing)
 
 
+def cs_setup(m, model, n_slots):
+    """A noisy CS run at 10 dB on an M-antenna array."""
+    cfg = ArrayConfig(m, 0.5)
+    return setup16(
+        "cs", cfg_track=cfg, cfg_data=cfg, no_noise=False, schedule=DiminishingStep(alpha_star(cfg)),
+        model=model, n_slots=n_slots, m0=2 * m, base_seed=11,
+    )
+
+
 class TestCompressedSensing:
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize(
+        "model",
+        [dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter(), dynamics.Static(0.3), None],
+        ids=["fixed-velocity", "sinusoid", "static", "uniform-x"],
+    )
+    def test_matches_grid_reference(self, m, model):
+        # the (T, M) statistic picks the same atom as the 1024-atom
+        # correlate/accumulate/window loop in every slot of every trial, but
+        # for slot 1 of a static run: with no warm-up its one sounding scores
+        # every atom |y|^2, a tie decided by rounding
+        first = 1 if model is None or isinstance(model, dynamics.Static) else 0
+        s = cs_setup(m, model, n_slots=60)
+        res = run_chunk(s, 0, 24, collect=("final_estimate",))
+        expected, final = reference.cs_means(s, 0, 24)
+        np.testing.assert_array_equal(res.extras["final_estimate"], final)
+        for k in METRIC_NAMES:
+            np.testing.assert_array_equal(res.stats.series().metric(k)[first:], expected.metric(k)[first:])
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_one_sounding_scores_are_flat(self, m):
+        # one sounding scores every atom |y|^2 (Cauchy-Schwarz with equality),
+        # so the slot-1 pick is a tie broken by rounding.  corr and norm2 round
+        # independently, and norm2 = M + 2*Re sum_d c_d*exp(j*phi*d*g) loses
+        # about eps*(M + 2*sum_d |c_d|) to cancellation: flat to 1e-12 where
+        # the probe covers the atom, within that error where it nearly misses
+        rng = np.random.default_rng(m)
+        alpha = engine._CS_ALPHABET[rng.integers(0, 4, size=(engine._CS_BLOCK, m))]
+        y = rng.standard_normal(engine._CS_BLOCK) + 1j * rng.standard_normal(engine._CS_BLOCK)
+        c = np.stack([np.sum(alpha[:, d:] * alpha[:, :-d].conj(), axis=1) for d in range(1, m)], axis=1)
+        scorer = engine.CsScorer(ArrayConfig(m, 0.5), cs_dictionary())
+        rel = np.abs(scorer.scores(y[:, None] * alpha, c, 1) / np.abs(y[:, None]) ** 2 - 1.0)
+        atoms = np.exp(-1j * math.pi * np.outer(np.arange(m), cs_dictionary()))
+        norm2 = np.abs(alpha.conj() @ atoms) ** 2
+        assert rel[norm2 >= m / 4].max() <= 1e-12
+        cancellation = np.finfo(float).eps * (m + 2.0 * np.abs(c).sum(axis=1))[:, None] / norm2
+        assert np.all(rel <= 64 * cancellation)
+
+    def test_chunk_memory_bounded(self):
+        # the 1024-atom grid sums and their 8-slot window took 38.9 MB here
+        s = cs_setup(16, dynamics.SinusoidJitter(), n_slots=200)
+        tracemalloc.start()
+        try:
+            run_chunk(s, 0, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_noise_free_on_atom_exact_recovery(self):
         x_atom = float(cs_dictionary()[700])
         # ten trials, ten random probe sequences

@@ -64,6 +64,18 @@ class TestCrlbCommand:
         limit = float(re.search(r"n\*MSE\(h\) limit\s*=\s*([0-9.e+-]+)", out).group(1))
         assert limit == pytest.approx(0.068889, rel=1e-4)
 
+    def test_x_bounds_on_tracking_array(self, capsys):
+        # I_max and min CRLB(x) are of the 8-antenna tracking array; the
+        # n*MSE(h) limit stays that of the 16-antenna data array
+        code, out, _ = run_cli(capsys, "crlb", "--m", "16", "--m-track", "8", "--slots-list", "100")
+        assert code == 0
+        imax = float(re.search(r"I_max\s*=\s*([0-9.e+-]+)", out).group(1))
+        assert imax == pytest.approx(1960 * math.pi**2, rel=1e-5)
+        crlb = float(re.search(r"min CRLB\(x\), n=100\s*=\s*([0-9.e+-]+)", out).group(1))
+        assert crlb == pytest.approx(1 / (100 * 1960 * math.pi**2), rel=1e-5)
+        limit = float(re.search(r"n\*MSE\(h\) limit\s*=\s*([0-9.e+-]+)", out).group(1))
+        assert limit == pytest.approx(0.068889, rel=1e-4)
+
     @pytest.mark.parametrize(
         "argv, field",
         [

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from beamtrack.arrays import ArrayConfig, conjugate_beamformer
+from beamtrack.engine import ALGORITHMS
 from beamtrack.harness import (
     ConfigError,
     ExperimentSpec,
+    _chunk_size,
     run_experiment,
     write_series_csv,
     write_summary_csv,
@@ -125,6 +127,24 @@ class TestDeterminism:
         r1 = run_experiment(spec)
         r2 = run_experiment(spec)
         assert r1.summary == r2.summary
+
+
+class TestChunking:
+    def test_chunk_bounds_unchanged_up_to_10k_slots(self):
+        # the chunk bounds set the merge order, hence the last bits of every
+        # mean: every run of up to 10,000 slots keeps 512-trial chunks, and
+        # 128 for CS
+        for algorithm in ALGORITHMS:
+            expected = 128 if algorithm == "cs" else 512
+            for n_slots in (1, 200, 2000, 10_000):
+                for per_trial_traj in (False, True):
+                    for m in (2, 8, 16, 64):
+                        assert _chunk_size(algorithm, n_slots, per_trial_traj, m) == expected
+
+    def test_cs_budget_counts_probes(self):
+        # 128 trials x 10,000 slots of 256 int8 probe indices is 328 MB
+        assert _chunk_size("cs", 10_000, False, 256) == 64
+        assert _chunk_size("recursive", 10_000, False, 256) == 512
 
 
 class TestExperimentKinds:
