@@ -130,16 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = (
-        "m_data", "m_track", "snr_db", "seed", "n_trials", "n_slots", "x",
-        "traj_kind", "omega", "omega_hi", "omega_tol", "pilots_per_sec",
-        "alpha", "n0", "x0_hat", "delta",
-    )
-    out = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "algorithms", None):
-        out["algorithms"] = tuple(args.algorithms.split(","))
-    if getattr(args, "omegas", None):
-        out["omegas"] = tuple(float(w) for w in args.omegas.split(","))
+    """The parsed options that are ExperimentSpec fields; None means not given."""
+    out = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+    for key, parse in (("algorithms", str), ("omegas", float)):
+        text = out.get(key)
+        try:
+            out[key] = tuple(parse(v) for v in text.split(",")) if text else None
+        except ValueError:
+            raise ConfigError(f"{key}: expected a comma-separated list, got {text!r}")
     return out
 
 
@@ -198,6 +196,8 @@ def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> in
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"workers: must be >= 1, got {args.workers}")
         config = load_config(args.config) if args.config else {}
         overrides = _overrides_from(args)
         if args.command == "crlb":

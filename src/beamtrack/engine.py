@@ -18,6 +18,14 @@ scores the whole grid with two matrix products.  On a moving trajectory the
 terms of the last M/2 soundings sit in a ring buffer and are summed afresh
 each slot, so no term is ever subtracted; a static run keeps running sums.
 
+Every kernel reads slot i's true spatial frequency as ``xs[..., i]``: a
+(T, n) broadcast view of the initial x in static and uniform-x runs, the
+per-trial (T, n) array of a jittered sinusoid, or the shared (n,) trajectory
+of a fixed velocity, whose steering vector is then built once per slot.  The
+receiver noise is one (T, M + warm-up + n) complex block, scaled in place to
+the stage-1 and tracking SNRs and read through views, so a chunk holds its
+noise once (all zeros in no-noise mode).
+
 Reproducibility contract: trial ``t`` owns three child streams spawned from
 ``SeedSequence([base_seed, t])`` in the order (trajectory, observation noise,
 algorithm randomness).  Within each stream, draws occur in a canonical order
@@ -68,7 +76,6 @@ _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg",
 COLLECT_KEYS = ("x0_hat", "init_in_mainlobe", "final_estimate", "final_x", "excursion", "degenerate_slots")
 
 KF_OFFSET_RAD = math.radians(3.5)
-KF_P_VAR_MAX = 1e6
 
 
 def cs_dictionary(size: int = 1024) -> np.ndarray:
@@ -205,10 +212,6 @@ def trial_streams(base_seed: int, trial: int):
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def _quadrature_sigma(rho: float, no_noise: bool) -> float:
-    return 0.0 if no_noise else math.sqrt(1.0 / (2.0 * rho))
-
-
 def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence[str] = ()) -> ChunkResult:
     """Simulate trials [trial_lo, trial_hi); return per-slot metric statistics.
 
@@ -232,7 +235,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     streams = (trial_streams(setup.base_seed, t) for t in range(trial_lo, trial_hi))
     traj_rngs, noise_rngs, algo_rngs = zip(*streams)
 
-    # --- trajectory -------------------------------------------------------
+    # --- trajectory: slot i's truth is xs[..., i] --------------------------
     model = setup.model
     per_slot_traj = model is not None and not isinstance(model, dynamics.Static)
     if model is None:
@@ -240,7 +243,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     else:
         x_true0 = np.full(n_trials, dynamics.initial_x(model))
     if not per_slot_traj:
-        xs = x_true0  # (T,), constant over slots
+        xs = np.broadcast_to(x_true0[:, None], (n_trials, n))
     elif isinstance(model, dynamics.FixedVelocity):
         xs = dynamics.trajectory(model, n)  # shared (n,) array
     else:  # SinusoidJitter: per-trial jitter realizations
@@ -248,28 +251,17 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         for k, r in enumerate(traj_rngs):
             xs[k] = dynamics.trajectory(model, n, r)
 
-    def slot_truth(i):
-        if not per_slot_traj:
-            return xs
-        return xs[i] if xs.ndim == 1 else xs[:, i]
-
-    # --- noise ------------------------------------------------------------
-    sig1 = _quadrature_sigma(setup.stage1_rho, setup.no_noise)
-    sig = _quadrature_sigma(setup.rho, setup.no_noise)
+    # --- noise: one block, scaled in place --------------------------------
     warm = m // 2 if (setup.algorithm == "cs" and per_slot_traj) else 0
-    if setup.no_noise:
-        sweep_noise = np.zeros((n_trials, m), dtype=complex)
-        warm_noise = np.zeros((n_trials, warm), dtype=complex)
-        noise = np.zeros((n_trials, n), dtype=complex)
-    else:
-        total = m + warm + n
-        block = np.empty((n_trials, total), dtype=complex)
+    total = m + warm + n
+    block = np.zeros((n_trials, total), dtype=complex)
+    if not setup.no_noise:
         for k, r in enumerate(noise_rngs):
             raw = r.standard_normal((total, 2))
             block[k] = raw[:, 0] + 1j * raw[:, 1]
-        sweep_noise = block[:, :m] * sig1
-        warm_noise = block[:, m : m + warm] * sig
-        noise = block[:, m + warm :] * sig
+    block[:, :m] *= math.sqrt(0.5 / setup.stage1_rho)
+    block[:, m:] *= math.sqrt(0.5 / setup.rho)
+    sweep_noise, warm_noise, noise = block[:, :m], block[:, m : m + warm], block[:, m + warm :]
 
     # --- stage 1: coarse sweep -------------------------------------------
     dirs = codebook_directions(cfg)
@@ -306,20 +298,19 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     if setup.algorithm == "recursive":
         v = x0_hat.copy()
         for i in range(n):
-            x_n = slot_truth(i)
+            x_n = xs[..., i]
             im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             v = np.clip(v - a_sched[i] * im_y, -1.0, 1.0)
             record(i, v, x_n)
         x_hat = v
 
     elif setup.algorithm == "angular":
-        th = np.arcsin(np.clip(x0_hat, -1.0, 1.0))
+        th = np.arcsin(x0_hat)
         for i in range(n):
-            x_n = slot_truth(i)
-            c = np.cos(th)
-            degenerate = np.abs(c) < COS_GUARD
-            degenerate_slots += degenerate
-            gain = np.copysign(np.maximum(np.abs(c), COS_GUARD), np.where(c == 0.0, 1.0, c))
+            x_n = xs[..., i]
+            c = np.cos(th)  # >= 0 on the clipped [-pi/2, pi/2]
+            degenerate_slots += c < COS_GUARD
+            gain = np.maximum(c, COS_GUARD)
             v = np.sin(th)
             im_y = -f_gain_closed(cfg, v - x_n, 0.0) + noise[:, i].imag
             th = np.clip(th - a_sched[i] / gain * im_y, -_HALF_PI, _HALF_PI)
@@ -335,7 +326,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         accumulate = not per_slot_traj  # static mode averages every sweep
         ant = cfg.antenna_indices
         for i in range(n):
-            x_n = slot_truth(i)
+            x_n = xs[..., i]
             j = i % m
             resp = dirichlet(cfg.phase_factor * (dirs[j] - x_n), m) / math.sqrt(m)
             r_new = pb * (resp + noise[:, i])
@@ -365,12 +356,8 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         def sound(s, x_n, noise_s):
             alpha = _CS_ALPHABET[probes[:, s, :]]
             w = alpha / math.sqrt(m)
-            if np.isscalar(x_n) or np.ndim(x_n) == 0:
-                a_x = np.exp(-1j * cfg.phase_factor * cfg.antenna_indices * float(x_n))
-                y = w.conj() @ a_x + noise_s
-            else:
-                a_x = np.exp(-1j * cfg.phase_factor * np.multiply.outer(x_n, cfg.antenna_indices))
-                y = np.einsum("tm,tm->t", w.conj(), a_x) + noise_s
+            a_x = np.exp(-1j * cfg.phase_factor * np.multiply.outer(x_n, cfg.antenna_indices))
+            y = np.einsum("tm,tm->t", w.conj(), np.broadcast_to(a_x, w.shape)) + noise_s
             z_s = y[:, None] * alpha
             c_s = scorer.autocorrelation(alpha)
             if per_slot_traj:
@@ -384,7 +371,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             sound(k, x_true0, warm_noise[:, k])
 
         for i in range(n):
-            x_n = slot_truth(i)
+            x_n = xs[..., i]
             sound(warm + i, x_n, noise[:, i])
             count = window if per_slot_traj else i + 1
             x_hat = scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
@@ -392,22 +379,19 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
 
     elif setup.algorithm == "wlan":
         best = np.argmax(np.abs(sweep_obs), axis=1)
-        period = 3
-        offsets = (-1, 0, 1)
-        phase = 0
+        phase = 0  # probes best - 1, best, best + 1, then moves to the strongest
         run_mag = np.full(n_trials, -np.inf)
         run_idx = best.copy()
         for i in range(n):
-            x_n = slot_truth(i)
-            idx = np.clip(best + offsets[phase % 3], 0, m - 1)
+            x_n = xs[..., i]
+            idx = np.clip(best + phase - 1, 0, m - 1)
             resp = dirichlet(cfg.phase_factor * (dirs[idx] - x_n), m) / math.sqrt(m)
             y = resp + noise[:, i]
             mag = np.abs(y)
-            better = mag > run_mag
-            run_mag = np.where(better, mag, run_mag)
-            run_idx = np.where(better, idx, run_idx)
+            run_idx = np.where(mag > run_mag, idx, run_idx)
+            run_mag = np.maximum(mag, run_mag)
             phase += 1
-            if phase >= period:
+            if phase == 3:
                 best = run_idx.copy()
                 phase = 0
                 run_mag.fill(-np.inf)
@@ -420,11 +404,11 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             omega = model.omega if isinstance(model, dynamics.FixedVelocity) else 0.0
             q = kf_default_process_noise(omega)
         r_var = 1.0 / (2.0 * rho)
-        th = np.arcsin(np.clip(x0_hat, -1.0, 1.0))
+        th = np.arcsin(x0_hat)
         p_var = np.full(n_trials, setup.kf_p0)
         phi = cfg.phase_factor
         for i in range(n):
-            x_n = slot_truth(i)
+            x_n = xs[..., i]
             sgn = 1.0 if i % 2 == 0 else -1.0
             th_p = np.clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI)
             vp = np.sin(th_p)
@@ -438,20 +422,16 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             jac2 = jac.real**2 + jac.imag**2
             p_var = 1.0 / (1.0 / p_pred + jac2 / r_var)
             th = th + (p_var / r_var) * (jac.conj() * (y - zp)).real
-            bad = ~np.isfinite(th) | (p_pred > KF_P_VAR_MAX)
-            if bad.any():
-                th = np.where(bad, np.clip(th, -_HALF_PI, _HALF_PI), th)
-                th = np.where(np.isfinite(th), th, 0.0)
-            th = np.clip(th, -_HALF_PI, _HALF_PI)
+            th = np.clip(th, -_HALF_PI, _HALF_PI)  # a diverged estimate is pinned at endfire
+            th = np.where(np.isnan(th), 0.0, th)
             x_hat = np.sin(th)
             record(i, x_hat, x_n)
 
-    x_f = slot_truth(n - 1)
     available = {
         "x0_hat": x0_hat,
         "init_in_mainlobe": init_in_mainlobe,
         "final_estimate": np.asarray(x_hat, dtype=float),
-        "final_x": np.broadcast_to(np.asarray(x_f, dtype=float), (n_trials,)),
+        "final_x": np.broadcast_to(xs[..., -1], (n_trials,)),
         "excursion": excursion,
         "degenerate_slots": degenerate_slots,
     }

@@ -257,7 +257,8 @@ def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool, m: int) -> i
 
     The budget per trial and slot is one complex noise sample (16 B), the
     true x of a per-trial trajectory (8 B) and, for CS, the slot's int8 probe
-    indices (``m`` B).
+    indices (``m`` B).  ``run_chunk`` keeps its noise as one block, scaled in
+    place, so the noise term is what a chunk holds, not a lower bound.
     """
     base = 128 if algorithm == "cs" else 512
     per_slot_bytes = 16 + (8 if per_trial_traj else 0) + (m if algorithm == "cs" else 0)
@@ -313,7 +314,7 @@ def simulate(
     tasks = [(setup, lo, hi, tuple(collect)) for lo, hi in bounds]
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_chunk_task, tasks))
     else:
         results = [_run_chunk_task(t) for t in tasks]
@@ -402,19 +403,19 @@ def _run_dynamic(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, series=series, summary=summary)
 
 
-def _mean_rate_at(spec: ExperimentSpec, algo: str, omega: float, workers: int) -> float:
+def _fixed_velocity_series(spec: ExperimentSpec, algo: str, omega: float, workers: int):
+    """Per-slot metrics of ``algo`` on the fixed-velocity trajectory at ``omega``."""
     model = dynamics.FixedVelocity(omega, spec.bound, spec.theta0)
     s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
-    return float(np.mean(s.rate))
+    return s
 
 
 def _run_sweep(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     table = []
     for omega in spec.omegas:
-        model = dynamics.FixedVelocity(omega, spec.bound, spec.theta0)
         for algo in spec.algorithms:
-            s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
+            s = _fixed_velocity_series(spec, algo, omega, workers)
             mean_rate = float(np.mean(s.rate))
             mean_mse = float(np.mean(s.mse_h)) if not np.isnan(s.mse_h).all() else float("nan")
             table.append((omega, algo, mean_rate, mean_mse))
@@ -429,20 +430,23 @@ def _run_table(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     evals = []
     for algo in spec.algorithms:
+        def mean_rate(omega):
+            return float(np.mean(_fixed_velocity_series(spec, algo, omega, workers).rate))
+
         lo, hi = spec.omega_lo, spec.omega_hi
-        rate_hi = _mean_rate_at(spec, algo, hi, workers)
+        rate_hi = mean_rate(hi)
         evals.append((algo, hi, rate_hi))
         if rate_hi >= threshold:
             best = hi
         else:
-            rate_lo = _mean_rate_at(spec, algo, lo, workers)
+            rate_lo = mean_rate(lo)
             evals.append((algo, lo, rate_lo))
             if rate_lo < threshold:
                 best = float("nan")  # cannot hold the fraction even when static
             else:
                 while hi - lo > spec.omega_tol:
                     mid = 0.5 * (lo + hi)
-                    r = _mean_rate_at(spec, algo, mid, workers)
+                    r = mean_rate(mid)
                     evals.append((algo, mid, r))
                     if r >= threshold:
                         lo = mid

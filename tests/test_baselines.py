@@ -242,8 +242,8 @@ class TestKalman:
         # heavy noise (-20 dB) with the estimate started at the domain edge.
         # Without process noise the filter freezes there; with it the
         # estimate is often pinned at +-pi/2, and q = 2e6 keeps the predicted
-        # variance above KF_P_VAR_MAX on every slot.  The engine and the
-        # reference clip the same way.
+        # variance above 1e6 on every slot, so updates overshoot endfire.  The
+        # engine and the reference clip the same way.
         for q in (0.0, 1e-3, 2e6):
             s = setup16(
                 "kf", no_noise=False, rho=0.01, stage1_rho=0.01, model=dynamics.Static(0.0),

@@ -135,6 +135,16 @@ class TestConfigHandling:
         imax = float(re.search(r"I_max\s*=\s*([0-9.e+-]+)", out).group(1))
         assert imax == pytest.approx(1960 * math.pi**2, rel=1e-4)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys, "static", "--m", "8", "--trials", "2", "--slots", "3", "--seed", "1",
+            "--workers", workers,
+        )
+        assert code == 2
+        assert "workers" in err
+        assert out == ""
+
     def test_random_seed_recorded_when_omitted(self, capsys):
         code, out, _ = run_cli(capsys, "theory", "--m", "8", "--snr-db", "10")
         assert code == 0
@@ -262,6 +272,15 @@ class TestSweepCommand:
         lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "omega,algorithm,mean_rate,mean_mse_h"
         assert len(lines) == 3
+
+    def test_bad_omegas_exits_2_naming_field(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m", "8", "--omegas", "0.01,abc", "--trials", "2", "--slots", "3",
+            "--seed", "1",
+        )
+        assert code == 2
+        assert "omegas" in err
+        assert out == ""
 
     def test_complex_fields_parse_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
