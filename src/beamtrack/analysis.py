@@ -155,17 +155,15 @@ def asymptotic_variance(cfg: ArrayConfig, rho: float, alpha: float) -> float:
     return alpha**2 / (2.0 * rho * (2.0 * ell * alpha - 1.0))
 
 
-def inverse_square_tail_sum(n0: float, terms: int = 1_000_000) -> float:
-    """sum_{i >= 1} 1/(i + n0)^2 via partial summation plus an integral tail.
-
-    The tail past ``terms`` is 1/(K - 0.5) with K = terms + n0 + 1, accurate
-    to O(K^-3); the total error is far below 1e-12 of the sum.
-    """
+def inverse_square_tail_sum(n0: float) -> float:
+    """sum_{i >= 1} 1/(i + n0)^2, the trigamma function at n0 + 1."""
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0!r}")
-    i = np.arange(1, terms + 1, dtype=float)
-    partial = float(np.sum(1.0 / (i + n0) ** 2))
-    return partial + 1.0 / (terms + n0 + 0.5)
+    # imported on first use: scipy.special takes longer to import than the
+    # rest of the CLI's start-up, and only the convergence bound needs it
+    from scipy import special
+
+    return float(special.polygamma(1, n0 + 1))
 
 
 @dataclass(frozen=True)

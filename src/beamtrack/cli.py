@@ -18,12 +18,7 @@ import secrets
 import sys
 
 from .crlb import max_fisher_information, min_crlb_x
-from .harness import (
-    ConfigError,
-    ExperimentSpec,
-    run_experiment,
-    write_summary_csv,
-)
+from .harness import SUMMARY_HEADER, ConfigError, ExperimentSpec, run_experiment, write_csv
 
 _SUBCOMMAND_KIND = {
     "static": "static-convergence",
@@ -37,14 +32,19 @@ _SUBCOMMAND_KIND = {
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    raise ConfigError(f"pilot/beta: cannot parse complex value {value!r}")
+def _parse_complex(key: str, value) -> complex:
+    """A JSON ``[re, im]`` pair, number or string such as ``"0.7-0.7j"``."""
+    parts = value if isinstance(value, list) else [value]
+    try:
+        if len(parts) == 2 and not any(isinstance(v, bool) for v in parts):
+            return complex(float(parts[0]), float(parts[1]))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return complex(value)
+        if isinstance(value, str):
+            return complex(value.replace(" ", ""))
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key}: cannot parse complex value {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -63,10 +63,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
     for key in ("pilot", "beta"):
         if key in raw:
-            raw[key] = _parse_complex(raw[key])
-    for key in ("algorithms", "omegas"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+            raw[key] = _parse_complex(key, raw[key])
     return raw
 
 
@@ -74,10 +71,7 @@ def build_spec(kind: str, config: dict, overrides: dict) -> ExperimentSpec:
     merged = dict(config)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     merged["kind"] = kind
-    try:
-        return ExperimentSpec(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}")
+    return ExperimentSpec(**merged)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -189,7 +183,7 @@ def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> in
     rows.append(("crlb_n_mse_h_limit", "theory", limit))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_summary_csv(os.path.join(out_dir, "crlb.csv"), rows)
+        write_csv(os.path.join(out_dir, "crlb.csv"), SUMMARY_HEADER, rows)
     return 0
 
 

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,17 +39,8 @@ from . import analysis, dynamics
 from .arrays import ArrayConfig
 from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
 from .engine import ALGORITHMS, BASELINE_ALGORITHMS, ChunkResult, TrialSetup, run_chunk
-from .metrics import METRIC_NAMES, MetricSeries, SlotStats, capacity
+from .metrics import METRIC_NAMES, SlotStats, capacity
 from .trackers import DiminishingStep, FixedStep, alpha_star
-
-KINDS = (
-    "static-convergence",
-    "dynamic-trajectory",
-    "velocity-sweep",
-    "max-velocity-table",
-    "init-success-rate",
-    "theory-diagnostics",
-)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -70,7 +62,7 @@ class ExperimentSpec:
     pilot: complex = (1 - 1j) / math.sqrt(2)
     beta: complex = (1 + 1j) / math.sqrt(2)
     no_noise: bool = False
-    algorithms: tuple = ("recursive",)
+    algorithms: tuple[str, ...] = ("recursive",)
     n_slots: int = 2000
     n_trials: int = 1000
     seed: int = 0
@@ -89,7 +81,7 @@ class ExperimentSpec:
     bound: float = math.pi / 3
     theta0: float = 0.0
     # velocity sweep / table search
-    omegas: tuple = ()
+    omegas: tuple[float, ...] = ()
     omega_lo: float = 0.0
     omega_hi: float = 0.3
     omega_tol: float = 2e-3
@@ -103,9 +95,9 @@ class ExperimentSpec:
     delta: float | None = None
 
     def __post_init__(self):
+        validate_spec(self)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "omegas", tuple(self.omegas))
-        validate_spec(self)
 
     @property
     def track_antennas(self) -> int:
@@ -156,16 +148,49 @@ class ExperimentSpec:
         return dynamics.FixedVelocity(self.omega, self.bound, self.theta0)
 
 
+_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
+# what a field annotated with the key accepts: builtin types only, so that
+# metadata.json can echo the spec; bool is accepted by bool fields only
+_ACCEPTED = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    complex: ((int, float, complex), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
+def _type_problem(hint, value) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``hint``; None if it can."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return f"must be an array, got {value!r}"
+        problems = (_type_problem(args[0], v) for v in value)
+        return next((f"every entry {p}" for p in problems if p), None)
+    if args:  # X | None
+        if value is None:
+            return None
+        hint = args[0]
+    accepted, what = _ACCEPTED[hint]
+    if isinstance(value, bool) == (hint is bool) and isinstance(value, accepted):
+        return None
+    return f"must be {what}, got {value!r}"
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.kind not in KINDS:
-        raise ConfigError(f"kind: unknown experiment kind {spec.kind!r}")
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
-        for v in value if f.name == "omegas" else (value,):
+        problem = _type_problem(_FIELD_TYPES[f.name], value)
+        if problem:
+            raise ConfigError(f"{f.name}: {problem}")
+        for v in value if isinstance(value, (list, tuple)) else (value,):
             if isinstance(v, (float, complex)) and not cmath.isfinite(v):
                 raise ConfigError(f"{f.name}: must be finite, got {v!r}")
-    if not isinstance(spec.seed, (int, np.integer)) or spec.seed < 0:
-        raise ConfigError(f"seed: must be an integer >= 0, got {spec.seed!r}")
+    if spec.kind not in KINDS:
+        raise ConfigError(f"kind: unknown experiment kind {spec.kind!r}")
+    if spec.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {spec.seed!r}")
     # 10**(dB/10) overflows past ~3080 dB and underflows to rho = 0 below ~-3230 dB
     for name in ("snr_db", "stage1_snr_db"):
         db = getattr(spec, name)
@@ -272,21 +297,16 @@ def _run_chunk_task(args):
     return run_chunk(setup, lo, hi, collect)
 
 
-def simulate(
-    spec: ExperimentSpec,
-    algorithm: str,
-    model,
-    n_trials: int,
-    n_slots: int,
-    workers: int = 1,
-    collect=(),
-    x0_mode: str = "sweep",
-    x0_value: float = 0.0,
-    excursion_burn_in: int = 0,
-    excursion_threshold_rad: float | None = None,
-    schedule=None,
-):
-    """Run all trials of one algorithm; returns (MetricSeries, extras dict)."""
+def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, workers: int = 1,
+             collect=(), **trial):
+    """Run all trials of one algorithm; returns (MetricSeries, extras dict).
+
+    The spec sets the array, SNR, signal, m0 and KF fields of the
+    :class:`TrialSetup`.  ``trial`` sets any other field: ``x0_mode``,
+    ``x0_value``, ``excursion_burn_in``, ``excursion_threshold_rad``, and
+    ``schedule`` (default: the spec's resolved schedule).
+    """
+    trial = {"schedule": spec.resolved_schedule(), **trial}
     setup = TrialSetup(
         algorithm=algorithm,
         cfg_track=spec.cfg_track,
@@ -296,17 +316,13 @@ def simulate(
         beta=spec.beta,
         pilot=spec.pilot,
         no_noise=spec.no_noise,
-        schedule=schedule if schedule is not None else spec.resolved_schedule(),
         model=model,
         n_slots=n_slots,
         m0=spec.m0 if spec.m0 is not None else 2 * spec.track_antennas,
         base_seed=spec.seed,
-        x0_mode=x0_mode,
-        x0_value=x0_value,
         kf_q=spec.kf_q,
         kf_p0=spec.kf_p0,
-        excursion_burn_in=excursion_burn_in,
-        excursion_threshold_rad=excursion_threshold_rad,
+        **trial,
     )
     per_trial_traj = isinstance(model, dynamics.SinusoidJitter)
     chunk = _chunk_size(algorithm, n_slots, per_trial_traj, spec.cfg_data.num_antennas)
@@ -340,15 +356,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     ``out_dir`` is given, per-metric CSV series, a summary CSV, and a JSON
     metadata echo of the resolved spec are written there.
     """
-    runner = {
-        "static-convergence": _run_static,
-        "dynamic-trajectory": _run_dynamic,
-        "velocity-sweep": _run_sweep,
-        "max-velocity-table": _run_table,
-        "init-success-rate": _run_init_rate,
-        "theory-diagnostics": _run_theory,
-    }[spec.kind]
-    result = runner(spec, workers)
+    result = _RUNNERS[spec.kind](spec, workers)
     result.metadata.update(
         spec=_spec_dict(spec),
         chunking="fixed per algorithm; reduction order independent of workers",
@@ -361,18 +369,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
 def _run_static(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     model = spec.build_model()
     series = {}
-    summary = []
-    cap = capacity(spec.cfg_data, spec.rho)
-    summary.append(("capacity_bits", "theory", cap))
     crlb_h_limit = spec.channel_crlb_limit()
-    summary.append(("crlb_n_mse_h_limit", "theory", crlb_h_limit))
+    summary = [
+        ("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho)),
+        ("crlb_n_mse_h_limit", "theory", crlb_h_limit),
+    ]
     for algo in spec.algorithms:
         s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
         series[algo] = s
-        n = spec.n_slots
-        if not math.isnan(s.mse_h[-1]):
-            summary.append(("mse_h_final", algo, float(s.mse_h[-1])))
-            summary.append(("n_mse_h_final", algo, float(n * s.mse_h[-1])))
+        summary.append(("mse_h_final", algo, float(s.mse_h[-1])))
+        summary.append(("n_mse_h_final", algo, float(spec.n_slots * s.mse_h[-1])))
         summary.append(("rate_final", algo, float(s.rate[-1])))
     extras = {
         "crlb_overlay": {
@@ -389,15 +395,14 @@ def _run_static(spec: ExperimentSpec, workers: int) -> ExperimentResult:
 def _run_dynamic(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     model = spec.build_model()
     series = {}
-    summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
+    cap = capacity(spec.cfg_data, spec.rho)
+    summary = [("capacity_bits", "theory", cap)]
     for algo in spec.algorithms:
         s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
         series[algo] = s
         mean_rate = float(np.mean(s.rate))
         summary.append(("mean_rate", algo, mean_rate))
-        summary.append(
-            ("rate_fraction", algo, mean_rate / capacity(spec.cfg_data, spec.rho))
-        )
+        summary.append(("rate_fraction", algo, mean_rate / cap))
         if not math.isnan(s.aoa_error_deg[-1]):
             summary.append(("mean_aoa_error_deg", algo, float(np.nanmean(s.aoa_error_deg))))
     return ExperimentResult(spec=spec, series=series, summary=summary)
@@ -417,7 +422,7 @@ def _run_sweep(spec: ExperimentSpec, workers: int) -> ExperimentResult:
         for algo in spec.algorithms:
             s = _fixed_velocity_series(spec, algo, omega, workers)
             mean_rate = float(np.mean(s.rate))
-            mean_mse = float(np.mean(s.mse_h)) if not np.isnan(s.mse_h).all() else float("nan")
+            mean_mse = float(np.mean(s.mse_h))
             table.append((omega, algo, mean_rate, mean_mse))
             summary.append((f"mean_rate@omega={omega:.6g}", algo, mean_rate))
             summary.append((f"mean_mse_h@omega={omega:.6g}", algo, mean_mse))
@@ -426,8 +431,9 @@ def _run_sweep(spec: ExperimentSpec, workers: int) -> ExperimentResult:
 
 def _run_table(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     """Binary search for the largest omega holding rate_fraction of capacity."""
-    threshold = spec.rate_fraction * capacity(spec.cfg_data, spec.rho)
-    summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
+    cap = capacity(spec.cfg_data, spec.rho)
+    threshold = spec.rate_fraction * cap
+    summary = [("capacity_bits", "theory", cap)]
     evals = []
     for algo in spec.algorithms:
         def mean_rate(omega):
@@ -511,30 +517,31 @@ def _run_theory(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     )
 
 
+_RUNNERS = {
+    "static-convergence": _run_static,
+    "dynamic-trajectory": _run_dynamic,
+    "velocity-sweep": _run_sweep,
+    "max-velocity-table": _run_table,
+    "init-success-rate": _run_init_rate,
+    "theory-diagnostics": _run_theory,
+}
+KINDS = tuple(_RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
+SUMMARY_HEADER = "param,algorithm,value"
 
 
-def write_series_csv(path: str, series: MetricSeries, metric: str) -> None:
-    """One metric per file: header ``slot,metric,mean,stderr,n_trials``."""
-    mean = series.metric(metric)
-    err = series.stderr.get(metric)
+def write_csv(path: str, header: str, rows) -> None:
+    """``header``, then one line per row: strings as given, every number with
+    17 significant digits, which round-trips a float."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("slot,metric,mean,stderr,n_trials\n")
-        for i, slot in enumerate(series.slots):
-            e = err[i] if err is not None else float("nan")
-            fh.write(f"{int(slot)},{metric},{_fmt(mean[i])},{_fmt(e)},{series.n_trials}\n")
-
-
-def write_summary_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("param,algorithm,value\n")
-        for param, algo, value in rows:
-            fh.write(f"{param},{algo},{_fmt(value)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else f"{float(v):.17g}" for v in row]) + "\n")
 
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
@@ -548,21 +555,18 @@ def write_result(result: ExperimentResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for algo, series in result.series.items():
         for metric in METRIC_NAMES:
-            write_series_csv(os.path.join(out_dir, f"{algo}_{metric}.csv"), series, metric)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), result.summary)
+            rows = (
+                (slot, metric, mean, err, series.n_trials)
+                for slot, mean, err in zip(series.slots, series.metric(metric), series.stderr[metric])
+            )
+            write_csv(os.path.join(out_dir, f"{algo}_{metric}.csv"), "slot,metric,mean,stderr,n_trials", rows)
+    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, result.summary)
     overlay = result.extras.get("crlb_overlay")
     if overlay is not None:
-        with open(os.path.join(out_dir, "crlb_overlay.csv"), "w", encoding="utf-8") as fh:
-            fh.write("slot,min_crlb_x,min_crlb_h\n")
-            for i, slot in enumerate(overlay["slots"]):
-                fh.write(
-                    f"{int(slot)},{_fmt(overlay['min_crlb_x'][i])},{_fmt(overlay['min_crlb_h'][i])}\n"
-                )
+        rows = zip(overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"])
+        write_csv(os.path.join(out_dir, "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", rows)
     table = result.extras.get("sweep_table")
     if table is not None:
-        with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write("omega,algorithm,mean_rate,mean_mse_h\n")
-            for omega, algo, mean_rate, mean_mse in table:
-                fh.write(f"{_fmt(omega)},{algo},{_fmt(mean_rate)},{_fmt(mean_mse)}\n")
+        write_csv(os.path.join(out_dir, "sweep.csv"), "omega,algorithm,mean_rate,mean_mse_h", table)
     with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)

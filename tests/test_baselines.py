@@ -290,6 +290,21 @@ class TestPilotParity:
                     assert rng.bit_generator.state == fresh.bit_generator.state, (algorithm, moving)
 
 
+class TestMseHDefined:
+    # every algorithm estimates the channel, so the summary rows built from
+    # mse_h need no NaN guard
+    @pytest.mark.parametrize(
+        "model",
+        [None, dynamics.Static(0.2), dynamics.SinusoidJitter(), dynamics.FixedVelocity(0.01)],
+        ids=["uniform", "static", "sinusoid", "fixed-velocity"],
+    )
+    def test_finite_for_every_algorithm(self, model):
+        for algorithm in ALGORITHMS:
+            series = means(setup16(algorithm, no_noise=False, model=model, n_slots=5), trials=3)
+            assert np.isfinite(series.mse_h).all(), algorithm
+            assert np.isfinite(series.stderr["mse_h"]).all(), algorithm
+
+
 class TestLsWindowModeFloor:
     def test_no_improvement_with_more_sweeps(self):
         # the sliding window forgets old pilots, so the error stays at the

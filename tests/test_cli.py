@@ -168,6 +168,19 @@ _BAD_SLOT_ENTRY = st.integers(max_value=0).map(str) | st.sampled_from(["a", "2.5
 _BAD_SLOTS_LIST = st.tuples(
     st.lists(st.integers(min_value=1, max_value=10**6).map(str), max_size=2), _BAD_SLOT_ENTRY
 ).map(lambda t: ",".join(t[0] + [t[1]]))
+# JSON values of the wrong type for a field
+_NOT_INT = (
+    st.integers(min_value=2, max_value=64).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans()
+    | st.integers(min_value=1, max_value=64).map(str)
+)
+_NOT_REAL = st.booleans() | st.sampled_from(["10", "1e-3", ""]) | st.lists(st.floats(0.0, 1.0), max_size=2)
+_NOT_BOOL = st.integers(min_value=0, max_value=1) | st.floats(0.0, 1.0) | st.sampled_from(["yes", "true", ""])
+_NOT_ARRAY = st.floats(0.0, BOUND) | st.sampled_from(["recursive", "0.01", ""])
+_NOT_COMPLEX = st.sampled_from(
+    ["abc", "", "1+", None, True, [1.0, "x"], [1.0, 2.0, 3.0], [True, 0.0], {"re": 1.0}]
+)
 
 
 def _bad_field_cases():
@@ -201,6 +214,19 @@ def _bad_field_cases():
             case("dynamic", "traj_kind", st.sampled_from(["", "circle", "Sinusoid"])),
             case("dynamic", "sinusoid_period", st.integers(max_value=0)),
             case("dynamic", "sinusoid_jitter_std", _NEGATIVE),
+            case("sweep", "omegas", _NOT_ARRAY),
+            case("sweep", "omegas", st.lists(st.booleans() | st.sampled_from(["a", "0.01"]), min_size=1)),
+            case("sweep", "algorithms", _NOT_ARRAY | st.integers()),
+            case("sweep", "algorithms", st.lists(st.integers() | st.booleans(), min_size=1)),
+            case("sweep", "pilot", _NOT_COMPLEX),
+            case("sweep", "beta", _NOT_COMPLEX),
+            case("sweep", "n_slots", _NOT_INT),
+            case("sweep", "m_data", _NOT_INT),
+            case("sweep", "n_trials", _NOT_INT),
+            case("sweep", "seed", _NOT_INT),
+            case("sweep", "snr_db", _NOT_REAL),
+            case("sweep", "kf_q", _NOT_REAL),
+            case("sweep", "no_noise", _NOT_BOOL),
         ]
     )
 

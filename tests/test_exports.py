@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import beamtrack
 
@@ -25,3 +27,13 @@ def test_perfbench_hooks_resolve():
         if not hasattr(importlib.import_module(f"beamtrack.{module}"), attr)
     ]
     assert not missing
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes longer to import than the rest of the CLI's start-up, so
+    # only the code paths that need it import it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamtrack.__file__)))
+    code = "import sys, beamtrack.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,13 +9,15 @@ from beamtrack.arrays import ArrayConfig, conjugate_beamformer
 from beamtrack.engine import ALGORITHMS
 from beamtrack.harness import (
     ConfigError,
+    ExperimentResult,
     ExperimentSpec,
     _chunk_size,
     run_experiment,
-    write_series_csv,
-    write_summary_csv,
+    write_csv,
+    write_result,
 )
 from beamtrack.metrics import (
+    METRIC_NAMES,
     MetricSeries,
     aoa_error_deg,
     capacity,
@@ -95,6 +97,13 @@ class TestSpecValidation:
     def test_x_range(self):
         with pytest.raises(ConfigError, match="x"):
             ExperimentSpec(kind="static-convergence", x=2.0)
+
+    def test_numpy_scalars_rejected(self):
+        # metadata.json echoes the spec, and json cannot write numpy integers
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentSpec(kind="static-convergence", seed=np.int64(3))
+        with pytest.raises(ConfigError, match="x"):
+            ExperimentSpec(kind="static-convergence", x=np.float32(0.5))
 
     def test_angles_limited_to_endfire(self):
         # with bound = 3.0 the direction passed endfire and x = sin(theta)
@@ -249,18 +258,18 @@ class TestCsvSchema:
             aoa_error_deg=np.array([3.0, 4.0]),
             rate=np.array([5.0, 6.0]),
             n_trials=7,
-            stderr={"mse_h": np.array([0.1, 0.2])},
+            stderr={name: np.array([0.1, 0.2]) for name in METRIC_NAMES},
         )
-        path = tmp_path / "s.csv"
-        write_series_csv(str(path), series, "mse_h")
-        lines = path.read_text().strip().splitlines()
+        spec = ExperimentSpec(kind="static-convergence")
+        write_result(ExperimentResult(spec=spec, series={"recursive": series}, summary=[]), str(tmp_path))
+        lines = (tmp_path / "recursive_mse_h.csv").read_text().strip().splitlines()
         assert lines[0] == "slot,metric,mean,stderr,n_trials"
         assert lines[1] == "1,mse_h,0.5,0.10000000000000001,7"
 
     def test_floats_serialized_at_full_precision(self, tmp_path):
         value = 1 / 3
         path = tmp_path / "sum.csv"
-        write_summary_csv(str(path), [("p", "a", value)])
+        write_csv(str(path), "param,algorithm,value", [("p", "a", value)])
         text = path.read_text().splitlines()[1]
         assert float(text.split(",")[2]) == value
 
