@@ -174,19 +174,44 @@ def f_gain(cfg: ArrayConfig, v, x):
 
 
 def f_gain_closed(cfg: ArrayConfig, v, x):
-    """Dirichlet-kernel closed form of :func:`f_gain`.
-
-    -sin((M-1)*pi*d*u/lambda) * sin(M*pi*d*u/lambda) / (sqrt(M)*sin(pi*d*u/lambda))
-    with u = v - x.  Within 1e-8 of a removable singularity the sum form is
-    used instead (it is exact there).
-    """
+    """Dirichlet-kernel closed form of :func:`f_gain`: -Im D_M(phi*(v - x))/sqrt(M)."""
     m = cfg.num_antennas
     u = np.asarray(v, dtype=float) - np.asarray(x, dtype=float)
-    c = 0.5 * cfg.phase_factor  # pi*d/lambda
-    den = np.sin(c * u)
-    small = np.abs(den) < c * 1e-8
-    num = np.sin((m - 1) * c * u) * np.sin(m * c * u)
-    closed = -num / (math.sqrt(m) * np.where(small, 1.0, den))
-    if np.any(small):
-        closed = np.where(small, f_gain(cfg, np.asarray(v, dtype=float), np.asarray(x, dtype=float)), closed)
+    closed = -dirichlet(cfg.phase_factor * u, m).imag / math.sqrt(m)
     return closed if closed.ndim else float(closed)
+
+
+def dirichlet_parts(cfg: ArrayConfig, v, x, out: np.ndarray, im_only: bool = False) -> np.ndarray:
+    """Re D, Im D and |D|^2 of D_M(phi*(v - x)) in real arithmetic, into ``out``.
+
+    With h = phi*(v - x)/2 and ratio = sin(M*h)/sin(h) (the limit +-M of
+    :func:`dirichlet` where |sin h| < 1e-9), Re D = cos((M-1)*h)*ratio,
+    Im D = sin((M-1)*h)*ratio and |D|^2 = ratio^2.  ``out`` is a float
+    array of shape (5,) + the broadcast shape of ``v`` and ``x``: rows 0-2
+    receive Re D, Im D and |D|^2, rows 3-4 are scratch.  ``im_only``
+    computes Im D alone and leaves rows 0 and 2 as scratch.  No temporaries
+    are allocated off the singular path.
+    """
+    m = cfg.num_antennas
+    re, im, mag2, h, ratio = out
+    np.subtract(v, x, out=h)
+    h *= 0.5 * cfg.phase_factor
+    np.multiply(h, m, out=ratio)
+    np.sin(ratio, out=ratio)
+    np.sin(h, out=mag2)
+    np.abs(mag2, out=re)
+    if re.min(initial=np.inf) < 1e-9:
+        small = re < 1e-9
+        np.divide(ratio, mag2, out=ratio, where=~small)
+        k = np.rint(h[small] / math.pi)
+        ratio[small] = m * np.where((k * (m - 1)) % 2 == 0, 1.0, -1.0)
+    else:
+        np.divide(ratio, mag2, out=ratio)
+    h *= m - 1
+    np.sin(h, out=im)
+    im *= ratio
+    if not im_only:
+        np.cos(h, out=re)
+        re *= ratio
+        np.multiply(ratio, ratio, out=mag2)
+    return out

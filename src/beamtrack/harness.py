@@ -134,9 +134,7 @@ class ExperimentSpec:
             name = "diminishing" if self.kind in ("static-convergence", "init-success-rate") else "fixed"
         if name == "diminishing":
             return DiminishingStep(self.resolved_alpha(), self.n0)
-        if name == "fixed":
-            return FixedStep(self.resolved_alpha())
-        raise ConfigError(f"schedule: unknown value {name!r}")
+        return FixedStep(self.resolved_alpha())  # "fixed": validate_spec admits no other name
 
     def build_model(self) -> dynamics.TrajectoryModel | None:
         if self.kind in ("static-convergence", "init-success-rate"):

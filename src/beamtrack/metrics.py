@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, dirichlet
+from .arrays import ArrayConfig, dirichlet_parts
 
 
 @dataclass
@@ -41,12 +41,11 @@ def capacity(cfg: ArrayConfig, rho: float) -> float:
     return math.log2(1.0 + rho * cfg.num_antennas)
 
 
-def _mse_h(d, m: int, beta: complex):
-    return abs(beta) ** 2 * (2.0 * m - 2.0 * d.real)
-
-
-def _rate(d, m: int, rho: float):
-    return np.log2(1.0 + rho * (d.real**2 + d.imag**2) / m)
+def _kernel(cfg: ArrayConfig, x_hat, x) -> np.ndarray:
+    """Rows Re D, Im D, |D|^2 of D_M(phi*(x_hat - x)) (see :func:`dirichlet_parts`)."""
+    x_hat, x = np.asarray(x_hat, dtype=float), np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(x_hat.shape, x.shape)
+    return dirichlet_parts(cfg, x_hat, x, np.empty((5,) + (shape or (1,)))).reshape((5,) + shape)
 
 
 def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
@@ -54,17 +53,13 @@ def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
 
     Closed form |beta|^2 * (2M - 2*Re{D_M(phi*(x_hat - x))}); vectorized.
     """
-    m = cfg.num_antennas
-    psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
-    return _mse_h(dirichlet(psi, m), m, beta)
+    return abs(beta) ** 2 * (2.0 * cfg.num_antennas - 2.0 * _kernel(cfg, x_hat, x)[0])
 
 
 def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
     """Achievable rate log2(1 + rho*|w^H a(x)|^2) in bits/s/Hz under the
     matched data beamformer w at x_hat, where |w^H a(x)|^2 = |D_M|^2/M."""
-    m = cfg.num_antennas
-    psi = cfg.phase_factor * (np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float))
-    return _rate(dirichlet(psi, m), m, rho)
+    return np.log2(1.0 + rho * _kernel(cfg, x_hat, x)[2] / cfg.num_antennas)
 
 
 def aoa_error_deg(x_hat, x):
@@ -73,14 +68,25 @@ def aoa_error_deg(x_hat, x):
     return np.abs(est - np.arcsin(x)) * (180.0 / math.pi)
 
 
-def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, d, beta: complex, rho: float):
-    """Fill the METRIC_NAMES rows of ``out`` for estimates ``x_hat`` of ``x``,
-    given d = D_M(phi*(x_hat - x)) on the data array ``cfg``."""
+def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d, mag2_d, beta: complex, rho: float):
+    """Fill the METRIC_NAMES rows of ``out`` in place for estimates ``x_hat``
+    in [-1, 1] of ``x``, given ``asin_x`` = asin(x) and the real part and
+    squared modulus of D_M(phi*(x_hat - x)) on the data array ``cfg``."""
     m = cfg.num_antennas
-    out[0] = _mse_h(d, m, beta)
-    out[1] = (x_hat - x) ** 2
-    out[2] = aoa_error_deg(x_hat, x)
-    out[3] = _rate(d, m, rho)
+    mse_h, mse_x, aoa, rate = out
+    np.multiply(re_d, -2.0, out=mse_h)
+    mse_h += 2.0 * m
+    mse_h *= abs(beta) ** 2
+    np.subtract(x_hat, x, out=mse_x)
+    np.square(mse_x, out=mse_x)
+    np.arcsin(x_hat, out=aoa)
+    aoa -= asin_x
+    np.abs(aoa, out=aoa)
+    aoa *= 180.0 / math.pi
+    np.multiply(mag2_d, rho, out=rate)
+    rate /= m
+    rate += 1.0
+    np.log2(rate, out=rate)
 
 
 @dataclass

@@ -32,6 +32,7 @@ from beamtrack.arrays import (
     complex_noise,
     conjugate_beamformer,
     dirichlet,
+    dirichlet_parts,
     steering_vector,
     weighted_dirichlet,
 )
@@ -355,9 +356,10 @@ def cs_means(setup, trial_lo, trial_hi):
     cfg = setup.cfg_data
     stats = SlotStats.empty(trial_hi - trial_lo, setup.n_slots)
     values = np.full((len(METRIC_NAMES), trial_hi - trial_lo), np.nan)
+    kernel = np.empty((5, trial_hi - trial_lo))
     for i in range(setup.n_slots):
         x_n = xs[..., i]
-        d = dirichlet(cfg.phase_factor * (x_hat[:, i] - x_n), cfg.num_antennas)
-        write_slot_metrics(values, cfg, x_hat[:, i], x_n, d, setup.beta, setup.rho)
+        re_d, _, mag2_d = dirichlet_parts(cfg, x_hat[:, i], x_n, kernel)[:3]
+        write_slot_metrics(values, cfg, x_hat[:, i], x_n, np.arcsin(x_n), re_d, mag2_d, setup.beta, setup.rho)
         stats.record(i, values)
     return stats.series(), x_hat[:, -1]

@@ -12,6 +12,7 @@ from beamtrack.arrays import (
     complex_noise,
     conjugate_beamformer,
     dirichlet,
+    dirichlet_parts,
     f_gain,
     f_gain_closed,
     log_likelihood,
@@ -139,6 +140,35 @@ class TestDirichletKernels:
             k = np.arange(m)
             direct = (k * np.exp(1j * np.outer(psi, k))).sum(axis=1)
             np.testing.assert_allclose(weighted_dirichlet(psi, m), direct, atol=1e-6)
+
+
+class TestDirichletParts:
+    """The real form (Re D, Im D, |D|^2) of the complex kernel."""
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.37])
+    @pytest.mark.parametrize("m", [2, 3, 8, 16, 64])
+    def test_matches_complex_dirichlet(self, m, spacing):
+        cfg = ArrayConfig(m, spacing)
+        rng = np.random.default_rng(m)
+        # random offsets, and offsets at and near psi = 2*pi*k (u = k/spacing)
+        grid = np.array([k / spacing for k in (-2, -1, 0, 1, 2)])
+        near = np.concatenate([grid + e for e in (0.0, 1e-13, -1e-11, 3e-10, -1e-9, 1e-7, -1e-5)])
+        u = np.concatenate([rng.uniform(-4, 4, 200), near])
+        x = rng.uniform(-1, 1, u.size)
+        v = x + u
+        parts = dirichlet_parts(cfg, v, x, np.empty((5, u.size)))
+        d = dirichlet(cfg.phase_factor * (v - x), m)
+        tol = 1e-12 * m
+        np.testing.assert_allclose(parts[0], d.real, rtol=0, atol=tol)
+        np.testing.assert_allclose(parts[1], d.imag, rtol=0, atol=tol)
+        np.testing.assert_allclose(parts[2], d.real**2 + d.imag**2, rtol=0, atol=tol)
+
+    def test_im_only_gives_the_same_im(self):
+        cfg = ArrayConfig(8, 0.5)
+        v = np.linspace(-1, 1, 33)
+        full = dirichlet_parts(cfg, v, 0.2, np.empty((5, v.size)))
+        part = dirichlet_parts(cfg, v, 0.2, np.empty((5, v.size)), im_only=True)
+        np.testing.assert_array_equal(part[1], full[1])
 
 
 class TestObserve:

@@ -114,6 +114,68 @@ class TestChunkInvariance:
         assert solo.extras["final_estimate"][0] == grouped.extras["final_estimate"][7]
 
 
+class TestNoiseDraw:
+    def test_rows_match_the_pairwise_draw(self):
+        # each row is drawn in place as interleaved (re, im) normals: bit for
+        # bit the (total, 2) draw re + 1j*im of the same trial stream
+        total = 41
+        block = engine.draw_noise([engine.trial_streams(7, t)[1] for t in range(3)], total)
+        for t in range(3):
+            raw = engine.trial_streams(7, t)[1].standard_normal((total, 2))
+            np.testing.assert_array_equal(block[t], raw[:, 0] + 1j * raw[:, 1])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls to the engine's real-form Dirichlet kernel."""
+    calls = []
+    original = engine.dirichlet_parts
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "dirichlet_parts", counting)
+    return calls
+
+
+class TestOneDirichletPerStaticSlot:
+    N_SLOTS = 25
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "angular"])
+    @pytest.mark.parametrize(
+        "over, kernels",
+        [
+            (dict(model=dynamics.Static(0.35)), N_SLOTS + 1),
+            (dict(model=None), N_SLOTS + 1),
+            (dict(model=dynamics.FixedVelocity(0.01, theta0=0.3)), 2 * N_SLOTS),
+            (dict(model=dynamics.Static(0.35), cfg_data=ArrayConfig(16, 0.5)), 2 * N_SLOTS),
+        ],
+    )
+    def test_kernel_count(self, kernel_calls, algorithm, over, kernels):
+        # a static truth on one array shares each slot's metric kernel with
+        # the next slot's update; a moving truth or a second array cannot
+        run_chunk(base_setup(algorithm=algorithm, n_slots=self.N_SLOTS, **over), 0, 6)
+        assert len(kernel_calls) == kernels
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "angular"])
+    def test_static_equals_zero_velocity(self, kernel_calls, algorithm):
+        # the same truth every slot, once as Static (the shared-kernel path)
+        # and once as a zero-velocity trajectory (a fresh kernel per update)
+        theta0 = 0.4
+        runs, counts = [], []
+        for model in (dynamics.Static(float(np.sin(theta0))), dynamics.FixedVelocity(0.0, theta0=theta0)):
+            kernel_calls.clear()
+            setup = base_setup(algorithm=algorithm, model=model, x0_mode="fixed", x0_value=0.3, n_slots=self.N_SLOTS)
+            runs.append(run_chunk(setup, 0, 8, collect=("final_estimate",)))
+            counts.append(len(kernel_calls))
+        assert counts == [self.N_SLOTS + 1, 2 * self.N_SLOTS]
+        static, moving = runs
+        np.testing.assert_array_equal(static.stats.mean, moving.stats.mean)
+        np.testing.assert_array_equal(static.stats.m2, moving.stats.m2)
+        np.testing.assert_array_equal(static.extras["final_estimate"], moving.extras["final_estimate"])
+
+
 class TestChunkMemory:
     def test_noise_block_held_once(self):
         # one (T, M + n) complex noise block, scaled in place and read through
