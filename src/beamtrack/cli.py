@@ -83,7 +83,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, dest="n_trials", help="Monte-Carlo trials")
     p.add_argument("--slots", type=int, dest="n_slots", help="tracked time-slots per trial")
     p.add_argument("--out", help="output directory for CSV results")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes in the run's pool (at most one per trial chunk)")
     p.add_argument("--algorithms", help="comma-separated algorithm list")
 
 

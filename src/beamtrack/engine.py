@@ -303,6 +303,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
 
     stats = SlotStats.empty(n_trials, n)
     values = np.full((len(METRIC_NAMES), n_trials), np.nan)  # one slot's metric block
+    deviations = np.empty_like(values)  # SlotStats.record's scratch, reused slot to slot
     excursion = np.zeros(n_trials, dtype=bool)
     excursion_from = n if setup.excursion_threshold_rad is None else setup.excursion_burn_in
     excursion_deg = math.degrees(setup.excursion_threshold_rad or 0.0)
@@ -321,7 +322,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         dirichlet_parts(cfg_d, x_hat, x_n, kernel)
         asin_x = np.arcsin(x_n) if asin_xs is None else asin_xs[..., i]
         write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, re_d, mag2_d, beta, rho)
-        stats.record(i, values)
+        stats.record(i, values, deviations)
         if i >= excursion_from:
             np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
 
@@ -396,7 +397,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             w_data = np.exp(1j * np.angle(h_hat)) / math.sqrt(m)
             resp_data = np.einsum("tm,tm->t", w_data.conj(), np.broadcast_to(a_true, h_hat.shape))
             values[_RATE] = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
-            stats.record(i, values)
+            stats.record(i, values, deviations)
 
     elif setup.algorithm == "cs":
         scorer = CsScorer(cfg, cs_dictionary())

@@ -19,6 +19,11 @@ Trials are split into fixed-size chunks.  Each chunk reports a per-slot
 order with the pairwise update of Chan, Golub & LeVeque (1979), so the output
 is bitwise identical for any worker count and the standard errors do not
 suffer the cancellation of sum(v^2) - n*mean^2.
+
+With ``workers > 1`` an experiment opens one process pool of at most
+``min(workers, chunks)`` processes and queues every algorithm's chunks on it
+(every velocity's too, in a sweep) before it reduces any; a table search
+reuses the pool across its bisection steps.
 """
 
 from __future__ import annotations
@@ -290,19 +295,32 @@ def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool, m: int) -> i
     return base
 
 
+def _chunk_bounds(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int):
+    """Trial ranges [lo, hi) of one algorithm's fixed chunks."""
+    per_trial_traj = isinstance(model, dynamics.SinusoidJitter)
+    chunk = _chunk_size(algorithm, n_slots, per_trial_traj, spec.cfg_data.num_antennas)
+    return [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+
+
 def _run_chunk_task(args):
     setup, lo, hi, collect = args
     return run_chunk(setup, lo, hi, collect)
 
 
 def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, workers: int = 1,
-             collect=(), **trial):
+             collect=(), pool=None, **trial):
     """Run all trials of one algorithm; returns (MetricSeries, extras dict).
 
     The spec sets the array, SNR, signal, m0 and KF fields of the
     :class:`TrialSetup`.  ``trial`` sets any other field: ``x0_mode``,
     ``x0_value``, ``excursion_burn_in``, ``excursion_threshold_rad``, and
     ``schedule`` (default: the spec's resolved schedule).
+
+    Given an executor as ``pool``, the chunks are queued on it at once and
+    the call returns a function of no arguments that waits for them and
+    returns the pair.  Otherwise, with ``workers > 1`` and more than one
+    chunk, the call opens its own pool of at most ``min(workers, chunks)``
+    processes for its chunks.
     """
     trial = {"schedule": spec.resolved_schedule(), **trial}
     setup = TrialSetup(
@@ -322,18 +340,16 @@ def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots
         kf_p0=spec.kf_p0,
         **trial,
     )
-    per_trial_traj = isinstance(model, dynamics.SinusoidJitter)
-    chunk = _chunk_size(algorithm, n_slots, per_trial_traj, spec.cfg_data.num_antennas)
-    bounds = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+    bounds = _chunk_bounds(spec, algorithm, model, n_trials, n_slots)
     tasks = [(setup, lo, hi, tuple(collect)) for lo, hi in bounds]
 
+    if pool is not None:
+        results = pool.map(_run_chunk_task, tasks)  # submits every chunk now
+        return lambda: _reduce_chunks(list(results))
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_run_chunk_task, tasks))
-    else:
-        results = [_run_chunk_task(t) for t in tasks]
-
-    return _reduce_chunks(results)
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as own:
+            return _reduce_chunks(list(own.map(_run_chunk_task, tasks)))
+    return _reduce_chunks([_run_chunk_task(t) for t in tasks])
 
 
 def _reduce_chunks(results: list[ChunkResult]):
@@ -343,8 +359,28 @@ def _reduce_chunks(results: list[ChunkResult]):
     return stats.series(), extras
 
 
+def _wait(got):
+    """The (MetricSeries, extras) pair of a ``simulate`` call, once its chunks are done."""
+    return got() if callable(got) else got
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
+
+
+def _queued_chunks(spec: ExperimentSpec) -> int:
+    """The most chunks the runner of ``spec`` has queued at once: all of the
+    experiment's, except that a table search waits for each velocity."""
+    if spec.kind == "theory-diagnostics":
+        return 0
+    if spec.kind == "init-success-rate":
+        return len(_chunk_bounds(spec, "recursive", None, spec.n_trials, 1))
+    # only the dynamic kind can have a per-trial trajectory, which sets the chunk size
+    model = spec.build_model() if spec.kind == "dynamic-trajectory" else None
+    counts = [len(_chunk_bounds(spec, a, model, spec.n_trials, spec.n_slots)) for a in spec.algorithms]
+    if spec.kind == "max-velocity-table":
+        return max(counts)
+    return sum(counts) * (len(spec.omegas) if spec.kind == "velocity-sweep" else 1)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: int = 1) -> ExperimentResult:
@@ -353,8 +389,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     Deterministic for a given spec and seed regardless of ``workers``.  When
     ``out_dir`` is given, per-metric CSV series, a summary CSV, and a JSON
     metadata echo of the resolved spec are written there.
+
+    With ``workers > 1`` and more than one chunk queued at once, the run opens
+    one process pool of at most ``min(workers, chunks)`` processes for all of
+    its ``simulate`` calls.  If a chunk raises, the chunks still queued are
+    cancelled and the error propagates.
     """
-    result = _RUNNERS[spec.kind](spec, workers)
+    size = min(workers, _queued_chunks(spec))
+    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    try:
+        result = _RUNNERS[spec.kind](spec, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     result.metadata.update(
         spec=_spec_dict(spec),
         chunking="fixed per algorithm; reduction order independent of workers",
@@ -364,16 +411,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     return result
 
 
-def _run_static(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
     model = spec.build_model()
+    queued = [simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool) for algo in spec.algorithms]
     series = {}
     crlb_h_limit = spec.channel_crlb_limit()
     summary = [
         ("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho)),
         ("crlb_n_mse_h_limit", "theory", crlb_h_limit),
     ]
-    for algo in spec.algorithms:
-        s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
+    for algo, got in zip(spec.algorithms, queued):
+        s, _ = _wait(got)
         series[algo] = s
         summary.append(("mse_h_final", algo, float(s.mse_h[-1])))
         summary.append(("n_mse_h_final", algo, float(spec.n_slots * s.mse_h[-1])))
@@ -390,13 +438,14 @@ def _run_static(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, series=series, summary=summary, extras=extras)
 
 
-def _run_dynamic(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
     model = spec.build_model()
+    queued = [simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool) for algo in spec.algorithms]
     series = {}
     cap = capacity(spec.cfg_data, spec.rho)
     summary = [("capacity_bits", "theory", cap)]
-    for algo in spec.algorithms:
-        s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
+    for algo, got in zip(spec.algorithms, queued):
+        s, _ = _wait(got)
         series[algo] = s
         mean_rate = float(np.mean(s.rate))
         summary.append(("mean_rate", algo, mean_rate))
@@ -406,28 +455,28 @@ def _run_dynamic(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, series=series, summary=summary)
 
 
-def _fixed_velocity_series(spec: ExperimentSpec, algo: str, omega: float, workers: int):
-    """Per-slot metrics of ``algo`` on the fixed-velocity trajectory at ``omega``."""
+def _fixed_velocity(spec: ExperimentSpec, algo: str, omega: float, pool):
+    """``simulate`` of ``algo`` on the fixed-velocity trajectory at ``omega``."""
     model = dynamics.FixedVelocity(omega, spec.bound, spec.theta0)
-    s, _ = simulate(spec, algo, model, spec.n_trials, spec.n_slots, workers)
-    return s
+    return simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool)
 
 
-def _run_sweep(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     table = []
-    for omega in spec.omegas:
-        for algo in spec.algorithms:
-            s = _fixed_velocity_series(spec, algo, omega, workers)
-            mean_rate = float(np.mean(s.rate))
-            mean_mse = float(np.mean(s.mse_h))
-            table.append((omega, algo, mean_rate, mean_mse))
-            summary.append((f"mean_rate@omega={omega:.6g}", algo, mean_rate))
-            summary.append((f"mean_mse_h@omega={omega:.6g}", algo, mean_mse))
+    points = [(omega, algo) for omega in spec.omegas for algo in spec.algorithms]
+    queued = [_fixed_velocity(spec, algo, omega, pool) for omega, algo in points]
+    for (omega, algo), got in zip(points, queued):
+        s, _ = _wait(got)
+        mean_rate = float(np.mean(s.rate))
+        mean_mse = float(np.mean(s.mse_h))
+        table.append((omega, algo, mean_rate, mean_mse))
+        summary.append((f"mean_rate@omega={omega:.6g}", algo, mean_rate))
+        summary.append((f"mean_mse_h@omega={omega:.6g}", algo, mean_mse))
     return ExperimentResult(spec=spec, series={}, summary=summary, extras={"sweep_table": table})
 
 
-def _run_table(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
     """Binary search for the largest omega holding rate_fraction of capacity."""
     cap = capacity(spec.cfg_data, spec.rho)
     threshold = spec.rate_fraction * cap
@@ -435,7 +484,7 @@ def _run_table(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     evals = []
     for algo in spec.algorithms:
         def mean_rate(omega):
-            return float(np.mean(_fixed_velocity_series(spec, algo, omega, workers).rate))
+            return float(np.mean(_wait(_fixed_velocity(spec, algo, omega, pool))[0].rate))
 
         lo, hi = spec.omega_lo, spec.omega_hi
         rate_hi = mean_rate(hi)
@@ -463,11 +512,11 @@ def _run_table(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, series={}, summary=summary, extras={"evals": evals})
 
 
-def _run_init_rate(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_init_rate(spec: ExperimentSpec, pool) -> ExperimentResult:
     model = spec.build_model()
-    _, extras = simulate(
-        spec, "recursive", model, spec.n_trials, 1, workers, collect=("init_in_mainlobe",)
-    )
+    _, extras = _wait(simulate(
+        spec, "recursive", model, spec.n_trials, 1, collect=("init_in_mainlobe",), pool=pool
+    ))
     ok = extras["init_in_mainlobe"]
     p = float(np.mean(ok))
     stderr = math.sqrt(max(p * (1 - p), 1e-12) / len(ok))
@@ -479,7 +528,7 @@ def _run_init_rate(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, series={}, summary=summary, extras={"success": ok})
 
 
-def _run_theory(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+def _run_theory(spec: ExperimentSpec, pool) -> ExperimentResult:
     cfg = spec.cfg_track
     x = spec.x if spec.x is not None else 0.5
     sp = analysis.stable_points(cfg, x)

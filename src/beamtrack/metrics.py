@@ -109,12 +109,13 @@ class SlotStats:
         shape = (len(METRIC_NAMES), n_slots)
         return cls(count, np.empty(shape), np.empty(shape))
 
-    def record(self, i: int, block: np.ndarray) -> None:
-        """Store slot ``i`` from a (len(METRIC_NAMES), count) block of trial values."""
+    def record(self, i: int, block: np.ndarray, dev: np.ndarray) -> None:
+        """Store slot ``i`` from a (len(METRIC_NAMES), count) block of trial
+        values; ``dev``, of the same shape, is scratch that it overwrites."""
         mean = block.sum(axis=1) / self.count
-        dev = block - mean[:, None]
+        np.subtract(block, mean[:, None], out=dev)
         self.mean[:, i] = mean
-        self.m2[:, i] = (dev * dev).sum(axis=1)
+        self.m2[:, i] = np.square(dev, out=dev).sum(axis=1)
 
     def merge(self, other: SlotStats) -> SlotStats:
         n = self.count + other.count

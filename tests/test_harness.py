@@ -1,12 +1,14 @@
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from beamtrack import harness
+from beamtrack import dynamics, harness
 from beamtrack.arrays import ArrayConfig, conjugate_beamformer
-from beamtrack.engine import ALGORITHMS
+from beamtrack.cli import main as cli_main
+from beamtrack.engine import ALGORITHMS, TrialSetup, run_chunk
 from beamtrack.harness import (
     ConfigError,
     ExperimentResult,
@@ -19,6 +21,7 @@ from beamtrack.harness import (
 from beamtrack.metrics import (
     METRIC_NAMES,
     MetricSeries,
+    SlotStats,
     aoa_error_deg,
     capacity,
     mse_h_closed,
@@ -117,20 +120,39 @@ class TestSpecValidation:
         ExperimentSpec(kind="dynamic-trajectory", bound=math.pi / 2, sinusoid_amplitude=-math.pi / 2)
 
 
+def assert_same_csvs_across_workers(spec, tmp_path, worker_counts):
+    for w in worker_counts:
+        run_experiment(spec, out_dir=str(tmp_path / f"w{w}"), workers=w)
+    names = sorted(n for n in os.listdir(tmp_path / "w1") if n.endswith(".csv"))
+    assert names
+    for w in worker_counts[1:]:
+        assert sorted(n for n in os.listdir(tmp_path / f"w{w}") if n.endswith(".csv")) == names
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / f"w{w}" / name).read_bytes(), (w, name)
+
+
 class TestDeterminism:
     def test_bitwise_identical_across_worker_counts(self, tmp_path):
         spec = ExperimentSpec(
             kind="static-convergence", m_data=8, snr_db=10.0, n_slots=200, n_trials=30,
             seed=5, algorithms=("recursive", "cs"),
         )
-        run_experiment(spec, out_dir=str(tmp_path / "w1"), workers=1)
-        run_experiment(spec, out_dir=str(tmp_path / "w3"), workers=3)
-        for name in os.listdir(tmp_path / "w1"):
-            if not name.endswith(".csv"):
-                continue
-            a = (tmp_path / "w1" / name).read_bytes()
-            b = (tmp_path / "w3" / name).read_bytes()
-            assert a == b, name
+        assert_same_csvs_across_workers(spec, tmp_path, (1, 3))
+
+    def test_dynamic_all_algorithms_identical_across_worker_counts(self, tmp_path):
+        # 150 trials: CS runs two chunks, every other algorithm one
+        spec = ExperimentSpec(
+            kind="dynamic-trajectory", m_data=8, n_slots=60, n_trials=150, seed=6,
+            algorithms=ALGORITHMS, sinusoid_period=50,
+        )
+        assert_same_csvs_across_workers(spec, tmp_path, (1, 2, 3))
+
+    def test_velocity_sweep_identical_across_worker_counts(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="velocity-sweep", m_data=8, omegas=(0.0, 0.02, 0.1), n_slots=80, n_trials=20,
+            seed=7, algorithms=("recursive", "cs", "kf"),
+        )
+        assert_same_csvs_across_workers(spec, tmp_path, (1, 2, 3))
 
     def test_same_seed_same_summary(self):
         spec = ExperimentSpec(kind="static-convergence", m_data=8, n_slots=100, n_trials=20, seed=9)
@@ -180,6 +202,179 @@ class TestChunking:
         serial, _ = harness.simulate(spec, "recursive", None, 600, 3, workers=1)
         assert sizes == [2]
         np.testing.assert_array_equal(pooled.rate, serial.rate)
+
+
+def count_simulate_calls(monkeypatch):
+    """Record (algorithm, n_trials * n_slots) of every ``harness.simulate``
+    call, read from its positional arguments as perfbench's counter reads them."""
+    calls = []
+    original = harness.simulate
+
+    def counting(*args, **kwargs):
+        calls.append((args[1], args[3] * args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate", counting)
+    return calls
+
+
+class TestSimulateCallContract:
+    # perfbench's end-to-end throughput is the trial-slots of the simulate
+    # calls it counts, so every runner calls the module-level simulate once
+    # per algorithm, with its n_trials and n_slots as positional arguments
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_static_and_dynamic_call_once_per_algorithm(self, monkeypatch, workers):
+        calls = count_simulate_calls(monkeypatch)
+        for kind in ("static-convergence", "dynamic-trajectory"):
+            calls.clear()
+            spec = ExperimentSpec(
+                kind=kind, m_data=8, n_slots=30, n_trials=20, seed=1, algorithms=("recursive", "cs", "kf"),
+            )
+            run_experiment(spec, workers=workers)
+            assert calls == [("recursive", 600), ("cs", 600), ("kf", 600)], kind
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_calls_once_per_omega_and_algorithm(self, monkeypatch, workers):
+        calls = count_simulate_calls(monkeypatch)
+        spec = ExperimentSpec(
+            kind="velocity-sweep", m_data=8, omegas=(0.0, 0.1), n_slots=40, n_trials=10, seed=1,
+            algorithms=("recursive", "wlan"),
+        )
+        run_experiment(spec, workers=workers)
+        assert calls == [("recursive", 400), ("wlan", 400)] * 2
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, how many chunks
+    are queued on it (in all, and when each one starts) and how it is shut
+    down; a chunk runs in-process when its result is read."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.queued = 0
+        self.queued_at_start = []
+        self.shutdowns = []
+        FakePool.made.append(self)
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.queued += len(tasks)
+        return (self._run(fn, task) for task in tasks)
+
+    def _run(self, fn, task):
+        self.queued_at_start.append(self.queued)
+        return fn(task)
+
+    def shutdown(self, **kwargs):
+        self.shutdowns.append(kwargs)
+
+
+class TestExperimentPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        FakePool.made = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return FakePool.made
+
+    def test_one_pool_sized_by_the_experiments_chunks(self, pools):
+        # 600 trials: two 512-trial chunks of recursive and five 128-trial chunks of CS
+        spec = ExperimentSpec(
+            kind="static-convergence", m_data=8, n_slots=3, n_trials=600, seed=3, algorithms=("recursive", "cs"),
+        )
+        serial = run_experiment(spec, workers=1)
+        assert pools == []
+        for workers, size in ((64, 7), (3, 3)):
+            pools.clear()
+            pooled = run_experiment(spec, workers=workers)
+            assert [(p.max_workers, p.queued, p.shutdowns) for p in pools] == [(size, 7, [{"cancel_futures": True}])]
+            assert pools[0].queued_at_start == [7] * 7  # every chunk queued before the first runs
+            assert pooled.summary == serial.summary
+
+    def test_sweep_queues_every_omega_on_one_pool(self, pools):
+        spec = ExperimentSpec(
+            kind="velocity-sweep", m_data=8, omegas=(0.0, 0.05, 0.1), n_slots=20, n_trials=10, seed=2,
+            algorithms=("recursive", "kf"),
+        )
+        run_experiment(spec, workers=8)
+        assert [(p.max_workers, p.queued, p.queued_at_start) for p in pools] == [(6, 6, [6] * 6)]
+
+    def test_table_search_reuses_one_pool(self, pools):
+        spec = ExperimentSpec(
+            kind="max-velocity-table", m_data=8, n_slots=40, n_trials=600, seed=3,
+            omega_lo=0.0, omega_hi=0.2, omega_tol=0.05,
+        )
+        result = run_experiment(spec, workers=4)
+        evals = len(result.extras["evals"])
+        assert evals > 2
+        assert [(p.max_workers, p.queued) for p in pools] == [(2, 2 * evals)]
+
+    def test_no_pool_for_a_single_chunk(self, pools):
+        for spec in (
+            ExperimentSpec(kind="dynamic-trajectory", m_data=8, n_slots=20, n_trials=100, seed=1),
+            ExperimentSpec(kind="init-success-rate", m_data=8, n_trials=100, seed=1),
+            ExperimentSpec(kind="theory-diagnostics", m_data=8),
+        ):
+            run_experiment(spec, workers=4)
+        assert pools == []
+
+    def test_failing_chunk_cancels_the_queued_chunks(self, pools, monkeypatch):
+        ran = []
+
+        def failing(setup, lo, hi, collect):
+            ran.append(setup.algorithm)
+            if setup.algorithm == "cs":
+                raise RuntimeError("chunk failed")
+            return run_chunk(setup, lo, hi, collect)
+
+        monkeypatch.setattr(harness, "run_chunk", failing)
+        spec = ExperimentSpec(
+            kind="static-convergence", m_data=8, n_slots=5, n_trials=20, seed=1,
+            algorithms=("recursive", "cs", "kf"),
+        )
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_experiment(spec, workers=2)
+        assert ran == ["recursive", "cs"]
+        assert [(p.queued, p.shutdowns) for p in pools] == [(3, [{"cancel_futures": True}])]
+
+
+def _raising_chunk(setup, lo, hi, collect):
+    raise RuntimeError(f"chunk {lo}-{hi} of {setup.algorithm} failed")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched chunk")
+def test_cli_exits_1_when_a_pooled_chunk_raises(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "run_chunk", _raising_chunk)
+    code = cli_main(["static", "--m", "8", "--trials", "20", "--slots", "5", "--seed", "1",
+                     "--algorithms", "recursive,kf", "--workers", "2"])
+    assert code == 1
+    assert "chunk 0-20 of recursive failed" in capsys.readouterr().err
+
+
+class TestSlotStats:
+    @staticmethod
+    def allocating_record(self, i, block, dev):
+        # the record before its deviation buffer was reused
+        mean = block.sum(axis=1) / self.count
+        dev = block - mean[:, None]
+        self.mean[:, i] = mean
+        self.m2[:, i] = (dev * dev).sum(axis=1)
+
+    @pytest.mark.parametrize("model", [dynamics.Static(0.3), dynamics.FixedVelocity(0.01, math.pi / 3, 0.2)])
+    def test_record_is_bit_identical_to_allocating_form(self, monkeypatch, model):
+        spec = ExperimentSpec(kind="static-convergence", m_data=8, seed=11)
+        setup = TrialSetup(
+            algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
+            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
+            schedule=spec.resolved_schedule(), model=model, n_slots=300, m0=16, base_seed=11,
+        )
+        reused = run_chunk(setup, 0, 97).stats
+        monkeypatch.setattr(SlotStats, "record", self.allocating_record)
+        allocating = run_chunk(setup, 0, 97).stats
+        assert np.array_equal(reused.mean, allocating.mean)
+        assert np.array_equal(reused.m2, allocating.m2)
 
 
 class TestExperimentKinds:
@@ -283,7 +478,6 @@ class TestCsvSchema:
 
 class TestAggregation:
     def test_mean_and_stderr_match_manual_trials(self):
-        from beamtrack.engine import TrialSetup
         from beamtrack.harness import simulate
 
         spec = ExperimentSpec(
