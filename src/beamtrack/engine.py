@@ -11,6 +11,11 @@ an extended Kalman filter on the angle of arrival.  A single trial ``t`` is
 kernels) replace explicit steering-vector products, so a chunk of several
 hundred trials advances one slot in a handful of elementwise operations.
 
+Each algorithm is one ``step(i, x_n)`` closure over the chunk's state,
+defined in its branch of :func:`run_chunk`; one slot loop calls it and
+records the returned estimate's metrics, statistics and excursions.  Least
+squares returns None and writes its own channel metrics.
+
 The two tracking kernels and the per-slot metrics share one Dirichlet kernel
 in real form (:func:`~beamtrack.arrays.dirichlet_parts`), written into
 per-chunk buffers: the update reads Im D, the metrics Re D and |D|^2.  With
@@ -241,8 +246,14 @@ def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
 def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence[str] = ()) -> ChunkResult:
     """Simulate trials [trial_lo, trial_hi); return per-slot metric statistics.
 
-    Each slot's values go into one (len(METRIC_NAMES), T) block for
-    ``SlotStats.record``; least squares leaves its mse_x and AoA rows NaN.
+    Each algorithm's branch sets up its state and defines ``step(i, x_n)``,
+    which advances every trial by slot i, given slot i's truth ``x_n``, and
+    returns the slot's estimate of x.  One slot loop then writes that
+    estimate's metrics into one (len(METRIC_NAMES), T) block for
+    ``SlotStats.record`` and updates the excursion flags.  Least squares
+    estimates the channel, not x: its ``step`` writes the mse_h and rate rows
+    itself and returns None, so its mse_x and AoA rows and its
+    ``final_estimate`` stay NaN.
 
     ``collect`` may request any of the per-trial arrays in ``COLLECT_KEYS``;
     an unknown key raises ``ValueError`` before anything is simulated.
@@ -289,10 +300,13 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     block[:, m:] *= math.sqrt(0.5 / setup.rho)
     sweep_noise, warm_noise, noise = block[:, :m], block[:, m : m + warm], block[:, m + warm :]
 
+    def observe(v, x):
+        """Noise-free pilot D_M(phi*(v - x))/sqrt(M) through the matched beam at v."""
+        return dirichlet(cfg.phase_factor * (v - x), m) / math.sqrt(m)
+
     # --- stage 1: coarse sweep -------------------------------------------
     dirs = codebook_directions(cfg)
-    sweep_resp = dirichlet(cfg.phase_factor * (dirs[None, :] - x_true0[:, None]), m) / math.sqrt(m)
-    sweep_obs = sweep_resp + sweep_noise
+    sweep_obs = observe(dirs[None, :], x_true0[:, None]) + sweep_noise
     if setup.x0_mode == "fixed":
         x0_hat = np.full(n_trials, float(np.clip(setup.x0_value, -1.0, 1.0)))
     elif setup.x0_mode == "true":
@@ -317,60 +331,44 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     kernel = np.empty((5, n_trials))
     re_d, im_d, mag2_d = kernel[:3]
 
-    def record(i, x_hat, x_n):
-        """Slot i's metrics; leaves D_M(phi_d*(x_hat - x_n)) in ``kernel``."""
-        dirichlet_parts(cfg_d, x_hat, x_n, kernel)
-        asin_x = np.arcsin(x_n) if asin_xs is None else asin_xs[..., i]
-        write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, re_d, mag2_d, beta, rho)
-        stats.record(i, values, deviations)
-        if i >= excursion_from:
-            np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
-
-    x_hat = x0_hat.copy()
-
     # The tracking update reads f(v, x) = -Im D_M(phi*(v - x))/sqrt(M).  With a
     # static truth and one array, slot i's metric kernel at (x_hat_{i+1} - x)
     # is slot i+1's update kernel, so it is evaluated once for both.
     reuse = not per_slot_traj and cfg == cfg_d
     inv_sqrt_m = 1.0 / math.sqrt(m)
-    step = np.empty(n_trials)
+    im_y = np.empty(n_trials)
     noise_im = noise.imag
 
     def observe_im(i, v, x_n):
-        """im_y = Im D_M(phi*(v - x_n))/sqrt(M) + noise of slot i, in ``step``;
-        D is evaluated afresh or read as record(i - 1) left it."""
+        """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + noise, in
+        ``im_y``; D is evaluated afresh or read as slot i - 1's metrics left it."""
         if i == 0 or not reuse:
             dirichlet_parts(cfg, v, x_n, kernel, im_only=True)
-        np.multiply(im_d, inv_sqrt_m, out=step)
-        return np.add(step, noise_im[:, i], out=step)
+        np.multiply(im_d, inv_sqrt_m, out=im_y)
+        return np.add(im_y, noise_im[:, i], out=im_y)
 
     if setup.algorithm == "recursive":
         v = x0_hat.copy()
-        for i in range(n):
-            x_n = xs[..., i]
-            im_y = observe_im(i, v, x_n)
-            im_y *= a_sched[i]
-            v -= im_y
-            _clip(v, -1.0, 1.0)
-            record(i, v, x_n)
-        x_hat = v
+
+        def step(i, x_n):
+            y = observe_im(i, v, x_n)
+            np.subtract(v, np.multiply(y, a_sched[i], out=y), out=v)
+            return _clip(v, -1.0, 1.0)
 
     elif setup.algorithm == "angular":
         th = np.arcsin(x0_hat)
-        x_hat = np.sin(th)
+        x_ang = np.sin(th)
         gain = np.empty(n_trials)
-        for i in range(n):
-            x_n = xs[..., i]
+
+        def step(i, x_n):
             np.cos(th, out=gain)  # >= 0 on the clipped [-pi/2, pi/2]
-            degenerate_slots += gain < COS_GUARD
+            np.add(degenerate_slots, gain < COS_GUARD, out=degenerate_slots)
             np.maximum(gain, COS_GUARD, out=gain)
-            im_y = observe_im(i, x_hat, x_n)
+            y = observe_im(i, x_ang, x_n)
             np.divide(a_sched[i], gain, out=gain)
-            im_y *= gain
-            th -= im_y
+            np.subtract(th, np.multiply(y, gain, out=y), out=th)
             _clip(th, -_HALF_PI, _HALF_PI)
-            x_hat = np.sin(th)
-            record(i, x_hat, x_n)
+            return np.sin(th, out=x_ang)
 
     elif setup.algorithm == "ls":
         p = setup.pilot
@@ -380,11 +378,10 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         counts = np.ones(m)
         accumulate = not per_slot_traj  # static mode averages every sweep
         ant = cfg.antenna_indices
-        for i in range(n):
-            x_n = xs[..., i]
+
+        def step(i, x_n):
             j = i % m
-            resp = dirichlet(cfg.phase_factor * (dirs[j] - x_n), m) / math.sqrt(m)
-            r_new = pb * (resp + noise[:, i])
+            r_new = pb * (observe(dirs[j], x_n) + noise[:, i])
             if accumulate:
                 buf[:, j] += r_new
                 counts[j] += 1.0
@@ -397,7 +394,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
             w_data = np.exp(1j * np.angle(h_hat)) / math.sqrt(m)
             resp_data = np.einsum("tm,tm->t", w_data.conj(), np.broadcast_to(a_true, h_hat.shape))
             values[_RATE] = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
-            stats.record(i, values, deviations)
+            return None
 
     elif setup.algorithm == "cs":
         scorer = CsScorer(cfg, cs_dictionary())
@@ -425,33 +422,26 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         for k in range(warm):
             sound(k, x_true0, warm_noise[:, k])
 
-        for i in range(n):
-            x_n = xs[..., i]
+        def step(i, x_n):
             sound(warm + i, x_n, noise[:, i])
             count = window if per_slot_traj else i + 1
-            x_hat = scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
-            record(i, x_hat, x_n)
+            return scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
 
     elif setup.algorithm == "wlan":
+        # every three slots probe best - 1, best, best + 1, then move to the strongest
         best = np.argmax(np.abs(sweep_obs), axis=1)
-        phase = 0  # probes best - 1, best, best + 1, then moves to the strongest
         run_mag = np.full(n_trials, -np.inf)
         run_idx = best.copy()
-        for i in range(n):
-            x_n = xs[..., i]
-            idx = _clip(best + (phase - 1), 0, m - 1)
-            resp = dirichlet(cfg.phase_factor * (dirs[idx] - x_n), m) / math.sqrt(m)
-            y = resp + noise[:, i]
-            mag = np.abs(y)
-            run_idx = np.where(mag > run_mag, idx, run_idx)
-            run_mag = np.maximum(mag, run_mag)
-            phase += 1
-            if phase == 3:
-                best = run_idx.copy()
-                phase = 0
+
+        def step(i, x_n):
+            idx = _clip(best + (i % 3 - 1), 0, m - 1)
+            mag = np.abs(observe(dirs[idx], x_n) + noise[:, i])
+            np.copyto(run_idx, idx, where=mag > run_mag)
+            np.maximum(mag, run_mag, out=run_mag)
+            if i % 3 == 2:
+                best[:] = run_idx
                 run_mag.fill(-np.inf)
-            x_hat = dirs[best]
-            record(i, x_hat, x_n)
+            return dirs[best]
 
     else:  # kf
         q = setup.kf_q
@@ -462,30 +452,38 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         th = np.arcsin(x0_hat)
         p_var = np.full(n_trials, setup.kf_p0)
         phi = cfg.phase_factor
-        for i in range(n):
-            x_n = xs[..., i]
+
+        def step(i, x_n):
             sgn = 1.0 if i % 2 == 0 else -1.0
-            th_p = _clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI)
-            vp = np.sin(th_p)
-            resp = dirichlet(phi * (vp - x_n), m) / math.sqrt(m)
-            y = resp + noise[:, i]
+            vp = np.sin(_clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI))
+            y = observe(vp, x_n) + noise[:, i]
             p_pred = p_var + q
             xp = np.sin(th)
-            zp = dirichlet(phi * (vp - xp), m) / math.sqrt(m)
-            g = weighted_dirichlet(phi * (vp - xp), m)
-            jac = -1j * phi * np.cos(th) * g / math.sqrt(m)
+            jac = -1j * phi * np.cos(th) * weighted_dirichlet(phi * (vp - xp), m) / math.sqrt(m)
             jac2 = jac.real**2 + jac.imag**2
-            p_var = 1.0 / (1.0 / p_pred + jac2 / r_var)
-            th = th + (p_var / r_var) * (jac.conj() * (y - zp)).real
+            np.divide(1.0, 1.0 / p_pred + jac2 / r_var, out=p_var)
+            np.add(th, (p_var / r_var) * (jac.conj() * (y - observe(vp, xp))).real, out=th)
             _clip(th, -_HALF_PI, _HALF_PI)  # a diverged estimate is pinned at endfire
-            th = np.where(np.isnan(th), 0.0, th)
-            x_hat = np.sin(th)
-            record(i, x_hat, x_n)
+            th[np.isnan(th)] = 0.0
+            return np.sin(th)
+
+    x_hat = np.full(n_trials, np.nan)
+    for i in range(n):
+        x_n = xs[..., i]
+        estimate = step(i, x_n)
+        if estimate is not None:  # leaves D_M(phi_d*(x_hat - x_n)) in ``kernel``
+            x_hat = estimate
+            dirichlet_parts(cfg_d, x_hat, x_n, kernel)
+            asin_x = np.arcsin(x_n) if asin_xs is None else asin_xs[..., i]
+            write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, re_d, mag2_d, beta, rho)
+        stats.record(i, values, deviations)
+        if i >= excursion_from:
+            np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
 
     available = {
         "x0_hat": x0_hat,
         "init_in_mainlobe": init_in_mainlobe,
-        "final_estimate": np.asarray(x_hat, dtype=float),
+        "final_estimate": x_hat,
         "final_x": np.broadcast_to(xs[..., -1], (n_trials,)),
         "excursion": excursion,
         "degenerate_slots": degenerate_slots,

@@ -23,7 +23,8 @@ suffer the cancellation of sum(v^2) - n*mean^2.
 With ``workers > 1`` an experiment opens one process pool of at most
 ``min(workers, chunks)`` processes and queues every algorithm's chunks on it
 (every velocity's too, in a sweep) before it reduces any; a table search
-reuses the pool across its bisection steps.
+reuses the pool across its bisection steps.  ``simulate`` opens no pool of
+its own: without one it runs its chunks in the calling process.
 """
 
 from __future__ import annotations
@@ -229,6 +230,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("alpha: must be > 0")
     if spec.n0 < 0:
         raise ConfigError("n0: must be >= 0")
+    if spec.kf_q is not None and spec.kf_q < 0:
+        raise ConfigError(f"kf_q: must be >= 0, got {spec.kf_q!r}")
+    if not spec.kf_p0 > 0:
+        raise ConfigError(f"kf_p0: must be > 0, got {spec.kf_p0!r}")
     if spec.m0 is not None and spec.m0 < spec.track_antennas:
         raise ConfigError("m0: must be >= the number of tracking antennas")
     if spec.traj_kind not in ("sinusoid", "fixed-velocity"):
@@ -307,8 +312,8 @@ def _run_chunk_task(args):
     return run_chunk(setup, lo, hi, collect)
 
 
-def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, workers: int = 1,
-             collect=(), pool=None, **trial):
+def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, collect=(), pool=None,
+             **trial):
     """Run all trials of one algorithm; returns (MetricSeries, extras dict).
 
     The spec sets the array, SNR, signal, m0 and KF fields of the
@@ -318,9 +323,8 @@ def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots
 
     Given an executor as ``pool``, the chunks are queued on it at once and
     the call returns a function of no arguments that waits for them and
-    returns the pair.  Otherwise, with ``workers > 1`` and more than one
-    chunk, the call opens its own pool of at most ``min(workers, chunks)``
-    processes for its chunks.
+    returns the pair.  Otherwise the chunks run in this process, in order;
+    the call never opens a pool of its own (``run_experiment`` owns the pool).
     """
     trial = {"schedule": spec.resolved_schedule(), **trial}
     setup = TrialSetup(
@@ -346,9 +350,6 @@ def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots
     if pool is not None:
         results = pool.map(_run_chunk_task, tasks)  # submits every chunk now
         return lambda: _reduce_chunks(list(results))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as own:
-            return _reduce_chunks(list(own.map(_run_chunk_task, tasks)))
     return _reduce_chunks([_run_chunk_task(t) for t in tasks])
 
 

@@ -71,6 +71,12 @@ class TestLeastSquares:
         s = setup16("ls", no_noise=False, rho=5.0, model=dynamics.Static(-0.2), n_slots=20, base_seed=3)
         np.testing.assert_array_equal(means(s, 3).mse_h, means(s, 3).mse_h)
 
+    def test_final_estimate_is_nan(self):
+        # LS estimates the channel, never x: no stage-1 estimate stands in for one
+        for model in (dynamics.Static(0.3), WINDOW_037, None):
+            final = finals(setup16("ls", no_noise=False, model=model, n_slots=20), trials=3)
+            assert final.shape == (3,) and np.isnan(final).all()
+
     def test_rejected_off_half_wavelength(self):
         # LS inverts the sweep codebook as W^H, which is W^-1 only at spacing
         # 0.5: noise-free static LS at M = 8, x = 0.3 ended with mse_h 7.04

@@ -214,6 +214,8 @@ def _bad_field_cases():
             case("dynamic", "traj_kind", st.sampled_from(["", "circle", "Sinusoid"])),
             case("dynamic", "sinusoid_period", st.integers(max_value=0)),
             case("dynamic", "sinusoid_jitter_std", _NEGATIVE),
+            case("dynamic", "kf_q", _NEGATIVE, {"algorithms": ["kf"]}),
+            case("dynamic", "kf_p0", st.floats(max_value=0.0, allow_infinity=False), {"algorithms": ["kf"]}),
             case("sweep", "omegas", _NOT_ARRAY),
             case("sweep", "omegas", st.lists(st.booleans() | st.sampled_from(["a", "0.01"]), min_size=1)),
             case("sweep", "algorithms", _NOT_ARRAY | st.integers()),

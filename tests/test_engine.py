@@ -107,11 +107,21 @@ class TestChunkInvariance:
         np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
         np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-9)
 
-    def test_trial_content_independent_of_chunking(self):
-        setup = base_setup(n_slots=40)
-        solo = run_chunk(setup, 7, 8, collect=("final_estimate",))
-        grouped = run_chunk(setup, 0, 16, collect=("final_estimate",))
-        assert solo.extras["final_estimate"][0] == grouped.extras["final_estimate"][7]
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize(
+        "model",
+        [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)],
+        ids=["uniform", "static", "fixed-velocity", "sinusoid"],
+    )
+    def test_trial_content_independent_of_chunking(self, algorithm, model):
+        # every per-trial extra of a trial is the same whichever chunk holds it
+        setup = base_setup(algorithm=algorithm, model=model, n_slots=40)
+        whole = run_chunk(setup, 0, 40, collect=engine.COLLECT_KEYS).extras
+        parts = [run_chunk(setup, lo, hi, collect=engine.COLLECT_KEYS).extras
+                 for lo, hi in ((0, 7), (7, 8), (8, 33), (33, 40))]
+        for key in engine.COLLECT_KEYS:
+            joined = np.concatenate([part[key] for part in parts])
+            assert np.array_equal(joined, whole[key], equal_nan=joined.dtype.kind == "f"), key
 
 
 class TestNoiseDraw:

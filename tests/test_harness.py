@@ -178,31 +178,6 @@ class TestChunking:
         assert _chunk_size("cs", 10_000, False, 256) == 64
         assert _chunk_size("recursive", 10_000, False, 256) == 512
 
-    def test_pool_no_larger_than_chunk_count(self, monkeypatch):
-        # a fork-based pool starts every requested worker up front, so a
-        # 2-chunk run must not ask for 64; the recorder runs tasks in-process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        spec = ExperimentSpec(kind="static-convergence", m_data=8, n_slots=3, n_trials=600, seed=3)
-        pooled, _ = harness.simulate(spec, "recursive", None, 600, 3, workers=64)
-        serial, _ = harness.simulate(spec, "recursive", None, 600, 3, workers=1)
-        assert sizes == [2]
-        np.testing.assert_array_equal(pooled.rate, serial.rate)
-
 
 def count_simulate_calls(monkeypatch):
     """Record (algorithm, n_trials * n_slots) of every ``harness.simulate``
