@@ -454,15 +454,15 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         phi = cfg.phase_factor
 
         def step(i, x_n):
+            nonlocal th, p_var
             sgn = 1.0 if i % 2 == 0 else -1.0
             vp = np.sin(_clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI))
             y = observe(vp, x_n) + noise[:, i]
-            p_pred = p_var + q
             xp = np.sin(th)
             jac = -1j * phi * np.cos(th) * weighted_dirichlet(phi * (vp - xp), m) / math.sqrt(m)
             jac2 = jac.real**2 + jac.imag**2
-            np.divide(1.0, 1.0 / p_pred + jac2 / r_var, out=p_var)
-            np.add(th, (p_var / r_var) * (jac.conj() * (y - observe(vp, xp))).real, out=th)
+            p_var = 1.0 / (1.0 / (p_var + q) + jac2 / r_var)
+            th = th + (p_var / r_var) * (jac.conj() * (y - observe(vp, xp))).real
             _clip(th, -_HALF_PI, _HALF_PI)  # a diverged estimate is pinned at endfire
             th[np.isnan(th)] = 0.0
             return np.sin(th)

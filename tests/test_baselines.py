@@ -264,6 +264,13 @@ class TestKalman:
             if q > 0:
                 assert np.isclose(aoa, 90.0, atol=1e-9).mean() > 0.25
 
+    def test_integer_p0_runs_as_float(self):
+        # a config may give kf_p0 as an integer; the filter state is still real
+        kw = dict(no_noise=False, rho=5.0, model=dynamics.Static(0.2), kf_q=0, n_slots=9, base_seed=3)
+        as_int, as_float = (run_chunk(setup16("kf", kf_p0=p0, **kw), 0, 3) for p0 in (1, 1.0))
+        np.testing.assert_array_equal(as_int.stats.mean, as_float.stats.mean)
+        np.testing.assert_array_equal(as_int.stats.m2, as_float.stats.m2)
+
     def test_seeded_determinism(self):
         s = setup16("kf", no_noise=False, rho=5.0, model=dynamics.Static(0.2), n_slots=29, base_seed=12)
         np.testing.assert_array_equal(finals(s, 3), finals(s, 3))

@@ -288,6 +288,19 @@ class TestRunCommands:
         assert code == 0
         assert "mean_rate" in out
 
+    def test_kf_integer_p0_matches_float(self, capsys, tmp_path):
+        outs = []
+        for p0 in (1, 1.0):
+            cfg = tmp_path / f"kf_{p0!r}.json"
+            cfg.write_text(json.dumps({
+                "m_data": 8, "n_trials": 3, "n_slots": 20, "seed": 1,
+                "traj_kind": "fixed-velocity", "omegas": [0.01], "kf_p0": p0,
+            }))
+            code, out, _ = run_cli(capsys, "dynamic", "--algorithms", "kf", "--config", str(cfg))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 class TestSweepCommand:
     def test_sweep_writes_table(self, capsys, tmp_path):
