@@ -113,19 +113,14 @@ def array_response(w: BeamformingVector, cfg: ArrayConfig, x: float) -> complex:
 
 
 def dirichlet(psi, m: int):
-    """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with removable singularities."""
+    """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with removable singularities
+    (see :func:`dirichlet_parts`); same shape as ``psi``."""
     psi = np.asarray(psi, dtype=float)
-    half = 0.5 * psi
-    num = np.sin(m * half)
-    den = np.sin(half)
-    small = np.abs(den) < 1e-9
-    ratio = np.where(small, 1.0, num) / np.where(small, 1.0, den)
-    if np.any(small):
-        # sin-ratio limit at psi = 2*pi*k; the phase prefactor restores D = m
-        k = np.rint(psi / (2.0 * math.pi))
-        ratio = np.where(small, m * np.where((k * (m - 1)) % 2 == 0, 1.0, -1.0), ratio)
-    out = np.exp(1j * (m - 1) * half) * ratio
-    return out
+    out = np.empty((5, psi.size))
+    np.multiply(psi.reshape(-1), 0.5, out=out[3])
+    d = np.empty(psi.shape, dtype=complex)
+    d.real, d.imag = _dirichlet_rows(m, out)[:2].reshape((2,) + psi.shape)
+    return d
 
 
 def weighted_dirichlet(psi, m: int):
@@ -184,23 +179,28 @@ def f_gain_closed(cfg: ArrayConfig, v, x):
 def dirichlet_parts(cfg: ArrayConfig, v, x, out: np.ndarray, im_only: bool = False) -> np.ndarray:
     """Re D, Im D and |D|^2 of D_M(phi*(v - x)) in real arithmetic, into ``out``.
 
-    With h = phi*(v - x)/2 and ratio = sin(M*h)/sin(h) (the limit +-M of
-    :func:`dirichlet` where |sin h| < 1e-9), Re D = cos((M-1)*h)*ratio,
+    With h = phi*(v - x)/2 and ratio = sin(M*h)/sin(h), replaced by its
+    limit +-M where |sin h| < 1e-9, Re D = cos((M-1)*h)*ratio,
     Im D = sin((M-1)*h)*ratio and |D|^2 = ratio^2.  ``out`` is a float
     array of shape (5,) + the broadcast shape of ``v`` and ``x``: rows 0-2
     receive Re D, Im D and |D|^2, rows 3-4 are scratch.  ``im_only``
     computes Im D alone and leaves rows 0 and 2 as scratch.  No temporaries
     are allocated off the singular path.
     """
-    m = cfg.num_antennas
-    re, im, mag2, h, ratio = out
+    h = out[3]
     np.subtract(v, x, out=h)
     h *= 0.5 * cfg.phase_factor
+    return _dirichlet_rows(cfg.num_antennas, out, im_only)
+
+
+def _dirichlet_rows(m: int, out: np.ndarray, im_only: bool = False) -> np.ndarray:
+    """:func:`dirichlet_parts` of D_m from the half angle h in ``out[3]``."""
+    re, im, mag2, h, ratio = out
     np.multiply(h, m, out=ratio)
     np.sin(ratio, out=ratio)
     np.sin(h, out=mag2)
     np.abs(mag2, out=re)
-    if re.min(initial=np.inf) < 1e-9:
+    if not re.min(initial=np.inf) >= 1e-9:  # also taken when h holds a NaN
         small = re < 1e-9
         np.divide(ratio, mag2, out=ratio, where=~small)
         k = np.rint(h[small] / math.pi)

@@ -86,9 +86,6 @@ _CS_BLOCK = 32
 # rows of a slot's metric block
 _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
 
-# per-trial arrays that run_chunk can return as ChunkResult.extras
-COLLECT_KEYS = ("x0_hat", "init_in_mainlobe", "final_estimate", "final_x", "excursion", "degenerate_slots")
-
 KF_OFFSET_RAD = math.radians(3.5)
 
 
@@ -243,7 +240,7 @@ def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
     return np.maximum(a, lo, out=a)
 
 
-def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence[str] = ()) -> ChunkResult:
+def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     """Simulate trials [trial_lo, trial_hi); return per-slot metric statistics.
 
     Each algorithm's branch sets up its state and defines ``step(i, x_n)``,
@@ -255,12 +252,10 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
     itself and returns None, so its mse_x and AoA rows and its
     ``final_estimate`` stay NaN.
 
-    ``collect`` may request any of the per-trial arrays in ``COLLECT_KEYS``;
-    an unknown key raises ``ValueError`` before anything is simulated.
+    The extras are six per-trial arrays: the stage-1 estimate ``x0_hat``,
+    ``init_in_mainlobe``, the last slot's ``final_estimate`` and ``final_x``,
+    the ``excursion`` flags and the angular tracker's ``degenerate_slots``.
     """
-    for name in collect:
-        if name not in COLLECT_KEYS:
-            raise ValueError(f"unknown collect key {name!r}")
     n_trials = trial_hi - trial_lo
     if n_trials < 1:
         raise ValueError("empty trial range")
@@ -480,7 +475,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         if i >= excursion_from:
             np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
 
-    available = {
+    extras = {
         "x0_hat": x0_hat,
         "init_in_mainlobe": init_in_mainlobe,
         "final_estimate": x_hat,
@@ -488,5 +483,4 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int, collect: Sequence
         "excursion": excursion,
         "degenerate_slots": degenerate_slots,
     }
-    extras = {name: np.array(available[name]) for name in collect}
-    return ChunkResult(stats=stats, extras=extras)
+    return ChunkResult(stats=stats, extras={name: np.array(a) for name, a in extras.items()})

@@ -266,8 +266,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise ConfigError("omega_lo/omega_hi: need 0 <= omega_lo < omega_hi")
         if spec.omega_hi > spec.bound:
             raise ConfigError("omega_hi: must be <= bound")
-        if not spec.omega_tol > 0:
-            raise ConfigError("omega_tol: must be > 0")
+        # a finer tolerance than the float spacing at omega_hi never ends the bisection
+        if not spec.omega_tol >= math.ulp(spec.omega_hi):
+            raise ConfigError(f"omega_tol: must be >= the float spacing {math.ulp(spec.omega_hi)!r} at omega_hi")
         if not spec.pilots_per_sec > 0:
             raise ConfigError("pilots_per_sec: must be > 0")
 
@@ -308,13 +309,12 @@ def _chunk_bounds(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_
 
 
 def _run_chunk_task(args):
-    setup, lo, hi, collect = args
-    return run_chunk(setup, lo, hi, collect)
+    return run_chunk(*args)
 
 
-def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, collect=(), pool=None,
-             **trial):
-    """Run all trials of one algorithm; returns (MetricSeries, extras dict).
+def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, pool=None, **trial):
+    """Run all trials of one algorithm; returns the MetricSeries and
+    ``run_chunk``'s per-trial extras, concatenated in trial order.
 
     The spec sets the array, SNR, signal, m0 and KF fields of the
     :class:`TrialSetup`.  ``trial`` sets any other field: ``x0_mode``,
@@ -345,7 +345,7 @@ def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots
         **trial,
     )
     bounds = _chunk_bounds(spec, algorithm, model, n_trials, n_slots)
-    tasks = [(setup, lo, hi, tuple(collect)) for lo, hi in bounds]
+    tasks = [(setup, lo, hi) for lo, hi in bounds]
 
     if pool is not None:
         results = pool.map(_run_chunk_task, tasks)  # submits every chunk now
@@ -515,12 +515,10 @@ def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
 
 def _run_init_rate(spec: ExperimentSpec, pool) -> ExperimentResult:
     model = spec.build_model()
-    _, extras = _wait(simulate(
-        spec, "recursive", model, spec.n_trials, 1, collect=("init_in_mainlobe",), pool=pool
-    ))
+    _, extras = _wait(simulate(spec, "recursive", model, spec.n_trials, 1, pool=pool))
     ok = extras["init_in_mainlobe"]
     p = float(np.mean(ok))
-    stderr = math.sqrt(max(p * (1 - p), 1e-12) / len(ok))
+    stderr = math.sqrt(p * (1 - p) / len(ok))
     summary = [
         ("init_success_rate", "coarse-sweep", p),
         ("init_success_stderr", "coarse-sweep", stderr),

@@ -13,12 +13,10 @@ from .arrays import ArrayConfig, dirichlet_parts
 
 @dataclass
 class MetricSeries:
-    """Per-slot metric arrays; aggregated series carry standard errors.
+    """Per-slot trial means of the METRIC_NAMES metrics, with standard errors.
 
-    ``mse_*`` entries are instantaneous squared errors for a single trial
-    and trial means after aggregation.  Metrics that an algorithm does not
-    define (e.g. spatial-frequency error for the least-squares baseline)
-    are NaN.
+    Metrics that an algorithm does not define (e.g. spatial-frequency error
+    for the least-squares baseline) are NaN.
     """
 
     slots: np.ndarray
@@ -41,33 +39,6 @@ def capacity(cfg: ArrayConfig, rho: float) -> float:
     return math.log2(1.0 + rho * cfg.num_antennas)
 
 
-def _kernel(cfg: ArrayConfig, x_hat, x) -> np.ndarray:
-    """Rows Re D, Im D, |D|^2 of D_M(phi*(x_hat - x)) (see :func:`dirichlet_parts`)."""
-    x_hat, x = np.asarray(x_hat, dtype=float), np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(x_hat.shape, x.shape)
-    return dirichlet_parts(cfg, x_hat, x, np.empty((5,) + (shape or (1,)))).reshape((5,) + shape)
-
-
-def mse_h_closed(cfg: ArrayConfig, x_hat, x, beta: complex):
-    """Squared channel-response error ||beta*a(x_hat) - beta*a(x)||_2^2.
-
-    Closed form |beta|^2 * (2M - 2*Re{D_M(phi*(x_hat - x))}); vectorized.
-    """
-    return abs(beta) ** 2 * (2.0 * cfg.num_antennas - 2.0 * _kernel(cfg, x_hat, x)[0])
-
-
-def rate_closed(cfg: ArrayConfig, x_hat, x, rho: float):
-    """Achievable rate log2(1 + rho*|w^H a(x)|^2) in bits/s/Hz under the
-    matched data beamformer w at x_hat, where |w^H a(x)|^2 = |D_M|^2/M."""
-    return np.log2(1.0 + rho * _kernel(cfg, x_hat, x)[2] / cfg.num_antennas)
-
-
-def aoa_error_deg(x_hat, x):
-    """AoA error |asin(x_hat) - asin(x)| in degrees."""
-    est = np.arcsin(np.clip(np.asarray(x_hat, dtype=float), -1.0, 1.0))
-    return np.abs(est - np.arcsin(x)) * (180.0 / math.pi)
-
-
 def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d, mag2_d, beta: complex, rho: float):
     """Fill the METRIC_NAMES rows of ``out`` in place for estimates ``x_hat``
     in [-1, 1] of ``x``, given ``asin_x`` = asin(x) and the real part and
@@ -87,6 +58,19 @@ def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d
     rate /= m
     rate += 1.0
     np.log2(rate, out=rate)
+
+
+def slot_metrics(cfg: ArrayConfig, x_hat, x, beta: complex, rho: float) -> dict:
+    """The METRIC_NAMES values, keyed by name, of estimates ``x_hat`` in
+    [-1, 1] of ``x`` on the data array ``cfg``: :func:`write_slot_metrics`
+    on :func:`dirichlet_parts`, as the engine runs them, into a fresh block."""
+    x_hat, x = np.broadcast_arrays(np.asarray(x_hat, dtype=float), np.asarray(x, dtype=float))
+    shape = x.shape
+    x_hat, x = x_hat.reshape(-1), x.reshape(-1)
+    re_d, _, mag2_d = dirichlet_parts(cfg, x_hat, x, np.empty((5, x.size)))[:3]
+    values = np.empty((len(METRIC_NAMES), x.size))
+    write_slot_metrics(values, cfg, x_hat, x, np.arcsin(x), re_d, mag2_d, beta, rho)
+    return dict(zip(METRIC_NAMES, values.reshape((len(METRIC_NAMES),) + shape)))
 
 
 @dataclass

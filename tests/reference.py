@@ -43,7 +43,7 @@ from beamtrack.engine import (
     kf_default_process_noise,
     trial_streams,
 )
-from beamtrack.metrics import METRIC_NAMES, SlotStats, aoa_error_deg, write_slot_metrics
+from beamtrack.metrics import METRIC_NAMES, SlotStats, write_slot_metrics
 from beamtrack.trackers import codebook_directions, initial_estimate, step_size
 
 HALF_PI = 0.5 * math.pi
@@ -272,7 +272,7 @@ def replay(setup, trial):
             raise ValueError(f"no reference for algorithm {algo!r}")
         out["mse_h"][i] = mse_h(cfg_d, x_hat, channel)
         out["mse_x"][i] = (x_hat - channel.x) ** 2
-        out["aoa_error_deg"][i] = aoa_error_deg(x_hat, channel.x)
+        out["aoa_error_deg"][i] = abs(math.degrees(math.asin(x_hat) - math.asin(channel.x)))
         out["rate"][i] = rate(cfg_d, conjugate_beamformer(cfg_d, x_hat), channel, setup.rho)
     return out, x_hat
 

@@ -26,7 +26,7 @@ from beamtrack.arrays import (
 )
 from beamtrack.crlb import fisher_information, max_fisher_information
 from beamtrack.harness import ExperimentSpec, run_experiment, simulate
-from beamtrack.metrics import capacity, mse_h_closed
+from beamtrack.metrics import capacity, slot_metrics
 from beamtrack.trackers import alpha_star
 
 PILOT = (1 - 1j) / math.sqrt(2)
@@ -45,10 +45,7 @@ def static16():
         kind="static-convergence", m_data=16, snr_db=10.0, pilot=PILOT, beta=BETA,
         n_slots=2000, n_trials=10_000, seed=2024,
     )
-    series, extras = simulate(
-        spec, "recursive", spec.build_model(), spec.n_trials, spec.n_slots,
-        collect=("final_estimate", "final_x"),
-    )
+    series, extras = simulate(spec, "recursive", spec.build_model(), spec.n_trials, spec.n_slots)
     est, x_true = extras["final_estimate"], extras["final_x"]
     spacing = 1.0 / (15 * 0.5)
     converged = np.abs(est - x_true) < spacing / 2
@@ -59,7 +56,7 @@ def test_criterion_1_crlb_attainment(static16):
     # conditional on convergence, n * channel MSE reaches the asymptotic
     # optimum 0.0689 within +-15% at n = 2000
     n = static16["n"]
-    per_trial = np.asarray(mse_h_closed(ArrayConfig(16, 0.5), static16["est"], static16["x_true"], BETA))
+    per_trial = slot_metrics(ArrayConfig(16, 0.5), static16["est"], static16["x_true"], BETA, 10.0)["mse_h"]
     conv = static16["converged"]
     conditional = n * per_trial[conv].mean()
     unconditional = n * per_trial.mean()
@@ -100,10 +97,7 @@ def test_criterion_3_initial_estimate_success():
             kind="init-success-rate", m_data=m, snr_db=0.0, pilot=PILOT, beta=BETA,
             n_trials=10_000, seed=17,
         )
-        _, extras = simulate(
-            spec, "recursive", spec.build_model(), spec.n_trials, 1,
-            collect=("x0_hat", "final_x", "init_in_mainlobe"),
-        )
+        _, extras = simulate(spec, "recursive", spec.build_model(), spec.n_trials, 1)
         rates[m] = float(np.mean(extras["init_in_mainlobe"]))
         half = 1.0 / (m * 0.5)
         d = extras["x0_hat"] - extras["final_x"]
@@ -233,8 +227,7 @@ def _convergence_frequency(m, snr_db, x, x0_val, n_slots=2000, trials=10_000, se
         x=x, n_slots=n_slots, n_trials=trials, seed=seed,
     )
     _, extras = simulate(
-        spec, "recursive", spec.build_model(), trials, n_slots,
-        collect=("final_estimate",), x0_mode="fixed", x0_value=x0_val,
+        spec, "recursive", spec.build_model(), trials, n_slots, x0_mode="fixed", x0_value=x0_val,
     )
     spacing = 1.0 / ((m - 1) * 0.5)
     return float(np.mean(np.abs(extras["final_estimate"] - x) < spacing / 2))
@@ -328,7 +321,7 @@ def test_criterion_10_angular_domain_pathology():
         )
         _, extras = simulate(
             spec, algo, spec.build_model(), spec.n_trials, spec.n_slots,
-            collect=("excursion",), x0_mode="fixed", x0_value=0.9375,
+            x0_mode="fixed", x0_value=0.9375,
             excursion_burn_in=100, excursion_threshold_rad=0.25,
         )
         frac[algo] = float(np.mean(extras["excursion"]))

@@ -133,6 +133,13 @@ class TestDirichletKernels:
             direct = np.exp(1j * np.outer(psi, np.arange(m))).sum(axis=1)
             np.testing.assert_allclose(dirichlet(psi, m), direct, atol=1e-9)
 
+    def test_dirichlet_keeps_the_shape_of_psi(self):
+        psi = np.linspace(-3, 3, 6)
+        assert dirichlet(1.0, 4).shape == ()
+        np.testing.assert_array_equal(dirichlet(psi.reshape(2, 3), 4), dirichlet(psi, 4).reshape(2, 3))
+        # a NaN leaves the limit at psi = 2*pi*k in place
+        np.testing.assert_array_equal(dirichlet([math.nan, 0.0], 4), [complex(math.nan, math.nan), 4.0])
+
     def test_weighted_dirichlet_matches_sum(self):
         rng = np.random.default_rng(2)
         for m in (2, 8, 16):
@@ -157,11 +164,16 @@ class TestDirichletParts:
         x = rng.uniform(-1, 1, u.size)
         v = x + u
         parts = dirichlet_parts(cfg, v, x, np.empty((5, u.size)))
-        d = dirichlet(cfg.phase_factor * (v - x), m)
-        tol = 1e-12 * m
-        np.testing.assert_allclose(parts[0], d.real, rtol=0, atol=tol)
-        np.testing.assert_allclose(parts[1], d.imag, rtol=0, atol=tol)
-        np.testing.assert_allclose(parts[2], d.real**2 + d.imag**2, rtol=0, atol=tol)
+        psi = cfg.phase_factor * (v - x)
+        d = np.exp(1j * np.outer(psi, np.arange(m))).sum(axis=1)
+        # the direct sum is good to ~1e-12*m; the closed form divides the
+        # rounding of M*h and h (~eps*M*|h|) by sin(h), large next to the
+        # limit threshold |sin h| = 1e-9 when M is not a power of 2
+        h = 0.5 * psi
+        tol = 1e-12 * m + 4 * np.finfo(float).eps * m * np.abs(h) / np.maximum(np.abs(np.sin(h)), 1e-9)
+        assert np.all(np.abs(parts[0] - d.real) <= tol)
+        assert np.all(np.abs(parts[1] - d.imag) <= tol)
+        assert np.all(np.abs(parts[2] - (d.real**2 + d.imag**2)) <= 2 * m * tol)
 
     def test_im_only_gives_the_same_im(self):
         cfg = ArrayConfig(8, 0.5)

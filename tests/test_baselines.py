@@ -34,7 +34,7 @@ def setup16(algorithm, **over):
 
 
 def finals(setup, trials=1):
-    return run_chunk(setup, 0, trials, collect=("final_estimate",)).extras["final_estimate"]
+    return run_chunk(setup, 0, trials).extras["final_estimate"]
 
 
 def means(setup, trials=1):
@@ -110,7 +110,7 @@ class TestCompressedSensing:
         # every atom |y|^2, a tie decided by rounding
         first = 1 if model is None or isinstance(model, dynamics.Static) else 0
         s = cs_setup(m, model, n_slots=60)
-        res = run_chunk(s, 0, 24, collect=("final_estimate",))
+        res = run_chunk(s, 0, 24)
         expected, final = reference.cs_means(s, 0, 24)
         np.testing.assert_array_equal(res.extras["final_estimate"], final)
         for k in METRIC_NAMES:
@@ -156,7 +156,7 @@ class TestCompressedSensing:
         # noise-free off-grid directions: mean squared error is at least the
         # uniform-quantization bound of the 1024-atom grid
         s = setup16("cs", model=None, n_slots=4, base_seed=5)
-        res = run_chunk(s, 0, 600, collect=("final_estimate", "final_x"))
+        res = run_chunk(s, 0, 600)
         errs = (res.extras["final_estimate"] - res.extras["final_x"]) ** 2
         bound = (2 / 1024) ** 2 / 12
         assert errs.mean() >= bound - 3 * errs.std() / math.sqrt(errs.size)
@@ -255,7 +255,7 @@ class TestKalman:
                 "kf", no_noise=False, rho=0.01, stage1_rho=0.01, model=dynamics.Static(0.0),
                 x0_mode="fixed", x0_value=math.sin(1.5707), kf_q=q, kf_p0=1e-2, n_slots=199,
             )
-            res = run_chunk(s, 0, 4, collect=("final_estimate",))
+            res = run_chunk(s, 0, 4)
             replays = [reference.replay(s, t) for t in range(4)]
             np.testing.assert_allclose(res.extras["final_estimate"], [f for _, f in replays], atol=1e-9)
             aoa = np.stack([series["aoa_error_deg"] for series, _ in replays])

@@ -204,6 +204,9 @@ def _bad_field_cases():
             case("dynamic", "omega", _NEGATIVE | _ABOVE_BOUND),
             case("sweep", "omegas", bad_omegas),
             case("table1", "omega_hi", _ABOVE_BOUND),
+            # finer than the float spacing at omega_hi: the bisection never ends
+            case("table1", "omega_tol", st.floats(0.0, math.ulp(0.3), exclude_min=True, exclude_max=True),
+                 {"omega_hi": 0.3}),
             case("dynamic", "bound", st.floats(max_value=0.0, allow_infinity=False) | _PAST_ENDFIRE),
             case("dynamic", "sinusoid_amplitude", _PAST_ENDFIRE | _PAST_ENDFIRE.map(lambda v: -v)),
             case("static", "spacing_ratio", _NOT_HALF, {"algorithms": ["ls"]}),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
-from beamtrack.metrics import METRIC_NAMES
+from beamtrack.metrics import METRIC_NAMES, slot_metrics
 from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star
 
 import reference
@@ -71,7 +71,7 @@ class TestOpLevelParity:
 
     def test_wlan_noise_free_floor(self):
         setup = base_setup(algorithm="wlan", no_noise=True)
-        res = run_chunk(setup, 0, 2, collect=("final_estimate",))
+        res = run_chunk(setup, 0, 2)
         # locked to the nearest codebook direction: quantized error below 1/M
         assert np.all(np.abs(res.extras["final_estimate"] - 0.35) <= 1.0 / 8 + 1e-12)
 
@@ -84,9 +84,9 @@ class TestOpLevelParity:
 class TestChunkInvariance:
     def test_split_equals_whole(self):
         setup = base_setup(n_slots=80)
-        whole = run_chunk(setup, 0, 60, collect=("final_estimate",))
-        a = run_chunk(setup, 0, 25, collect=("final_estimate",))
-        b = run_chunk(setup, 25, 60, collect=("final_estimate",))
+        whole = run_chunk(setup, 0, 60)
+        a = run_chunk(setup, 0, 25)
+        b = run_chunk(setup, 25, 60)
         np.testing.assert_array_equal(
             whole.extras["final_estimate"],
             np.concatenate([a.extras["final_estimate"], b.extras["final_estimate"]]),
@@ -116,12 +116,29 @@ class TestChunkInvariance:
     def test_trial_content_independent_of_chunking(self, algorithm, model):
         # every per-trial extra of a trial is the same whichever chunk holds it
         setup = base_setup(algorithm=algorithm, model=model, n_slots=40)
-        whole = run_chunk(setup, 0, 40, collect=engine.COLLECT_KEYS).extras
-        parts = [run_chunk(setup, lo, hi, collect=engine.COLLECT_KEYS).extras
+        whole = run_chunk(setup, 0, 40).extras
+        parts = [run_chunk(setup, lo, hi).extras
                  for lo, hi in ((0, 7), (7, 8), (8, 33), (33, 40))]
-        for key in engine.COLLECT_KEYS:
+        assert parts[0].keys() == whole.keys()
+        for key in whole:
             joined = np.concatenate([part[key] for part in parts])
             assert np.array_equal(joined, whole[key], equal_nan=joined.dtype.kind == "f"), key
+
+
+class TestSlotMetrics:
+    @pytest.mark.parametrize("algorithm", [a for a in engine.ALGORITHMS if a != "ls"])
+    @pytest.mark.parametrize(
+        "model",
+        [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)],
+        ids=["uniform", "static", "fixed-velocity", "sinusoid"],
+    )
+    def test_last_slot_is_slot_metrics_of_the_final_estimate(self, algorithm, model):
+        # one trial: the last slot's mean is the trial's value, which
+        # slot_metrics recomputes from the final estimate bit for bit
+        setup = base_setup(algorithm=algorithm, model=model, n_slots=40)
+        res = run_chunk(setup, 3, 4)
+        got = slot_metrics(setup.cfg_data, res.extras["final_estimate"], res.extras["final_x"], setup.beta, setup.rho)
+        np.testing.assert_array_equal(res.stats.mean[:, -1], [got[k][0] for k in METRIC_NAMES])
 
 
 class TestNoiseDraw:
@@ -177,7 +194,7 @@ class TestOneDirichletPerStaticSlot:
         for model in (dynamics.Static(float(np.sin(theta0))), dynamics.FixedVelocity(0.0, theta0=theta0)):
             kernel_calls.clear()
             setup = base_setup(algorithm=algorithm, model=model, x0_mode="fixed", x0_value=0.3, n_slots=self.N_SLOTS)
-            runs.append(run_chunk(setup, 0, 8, collect=("final_estimate",)))
+            runs.append(run_chunk(setup, 0, 8))
             counts.append(len(kernel_calls))
         assert counts == [self.N_SLOTS + 1, 2 * self.N_SLOTS]
         static, moving = runs
@@ -206,29 +223,19 @@ class TestChunkMemory:
 class TestInitializationModes:
     def test_fixed(self):
         setup = base_setup(x0_mode="fixed", x0_value=0.11, n_slots=1, no_noise=True)
-        res = run_chunk(setup, 0, 5, collect=("x0_hat",))
+        res = run_chunk(setup, 0, 5)
         np.testing.assert_array_equal(res.extras["x0_hat"], 0.11)
 
     def test_true(self):
         setup = base_setup(x0_mode="true", model=None, n_slots=1)
-        res = run_chunk(setup, 0, 5, collect=("x0_hat", "final_x", "init_in_mainlobe"))
+        res = run_chunk(setup, 0, 5)
         np.testing.assert_array_equal(res.extras["x0_hat"], res.extras["final_x"])
         assert res.extras["init_in_mainlobe"].all()
 
-    def test_rejects_unknown(self, monkeypatch):
+    def test_rejects_unknown(self):
         for mode in ("bogus", "offset", "uniform-mainlobe"):
             with pytest.raises(ValueError):
                 base_setup(x0_mode=mode)
-        # a bad collect key fails before any trial stream is drawn
-        calls = []
-        original = engine.trial_streams
-        monkeypatch.setattr(engine, "trial_streams", lambda *a: calls.append(a) or original(*a))
-        for collect in (("bogus",), ("x0_hat", "bogus")):
-            with pytest.raises(ValueError, match="bogus"):
-                run_chunk(base_setup(n_slots=1), 0, 4, collect=collect)
-        assert calls == []
-        run_chunk(base_setup(n_slots=1), 0, 2, collect=("x0_hat",))
-        assert len(calls) == 2
 
 
 class TestExcursionTracking:
@@ -245,11 +252,11 @@ class TestExcursionTracking:
             excursion_threshold_rad=0.2,
             n_slots=400,
         )
-        res = run_chunk(base_setup(excursion_burn_in=100, **kw), 0, 20, collect=("excursion",))
+        res = run_chunk(base_setup(excursion_burn_in=100, **kw), 0, 20)
         assert not res.extras["excursion"].any()
         # the first update already contracts the error, so not every trial
         # trips the threshold, but most do when the transient is counted
-        res = run_chunk(base_setup(excursion_burn_in=0, **kw), 0, 20, collect=("excursion",))
+        res = run_chunk(base_setup(excursion_burn_in=0, **kw), 0, 20)
         assert res.extras["excursion"].mean() >= 0.8
 
 
@@ -260,7 +267,7 @@ class TestBaselineStreamParity:
     def test_wlan_matches_update_function(self):
         setup = base_setup(algorithm="wlan", n_slots=60)
         n_trials = 4
-        res = run_chunk(setup, 0, n_trials, collect=("final_estimate",))
+        res = run_chunk(setup, 0, n_trials)
         replays = [reference.replay(setup, t) for t in range(n_trials)]
         rates = np.mean([series["rate"] for series, _ in replays], axis=0)
         np.testing.assert_allclose(res.extras["final_estimate"], [f for _, f in replays], atol=1e-12)
@@ -269,6 +276,6 @@ class TestBaselineStreamParity:
     def test_kf_matches_update_function(self):
         setup = base_setup(algorithm="kf", n_slots=60)
         n_trials = 4
-        res = run_chunk(setup, 0, n_trials, collect=("final_estimate",))
+        res = run_chunk(setup, 0, n_trials)
         finals = [reference.replay(setup, t)[1] for t in range(n_trials)]
         np.testing.assert_allclose(res.extras["final_estimate"], finals, atol=1e-9)

@@ -22,10 +22,8 @@ from beamtrack.metrics import (
     METRIC_NAMES,
     MetricSeries,
     SlotStats,
-    aoa_error_deg,
     capacity,
-    mse_h_closed,
-    rate_closed,
+    slot_metrics,
 )
 
 import reference
@@ -55,25 +53,25 @@ class TestMetrics:
         for _ in range(50):
             x_hat, x = rng.uniform(-1, 1, 2)
             ch = reference.ChannelState(float(x), BETA)
-            assert float(mse_h_closed(cfg, x_hat, x, BETA)) == pytest.approx(
-                reference.mse_h(cfg, float(x_hat), ch), abs=1e-9
-            )
+            got = slot_metrics(cfg, x_hat, x, BETA, 10.0)
+            assert float(got["mse_h"]) == pytest.approx(reference.mse_h(cfg, float(x_hat), ch), abs=1e-9)
             w = conjugate_beamformer(cfg, float(x_hat))
-            assert float(rate_closed(cfg, x_hat, x, 10.0)) == pytest.approx(
-                reference.rate(cfg, w, ch, 10.0), abs=1e-9
-            )
+            assert float(got["rate"]) == pytest.approx(reference.rate(cfg, w, ch, 10.0), abs=1e-9)
+            assert float(got["mse_x"]) == (x_hat - x) ** 2
 
     def test_local_quadratic_relation(self):
         # for small errors, mse_h ~ |beta|^2 (2 pi d/lam)^2 M(M-1)(2M-1)/6 * mse_x
         cfg = ArrayConfig(16, 0.5)
         factor = abs(BETA) ** 2 * cfg.phase_factor**2 * 15 * 16 * 31 / 6
         for du in (1e-4, 3e-4):
-            ratio = float(mse_h_closed(cfg, 0.3 + du, 0.3, BETA)) / du**2
+            ratio = float(slot_metrics(cfg, 0.3 + du, 0.3, BETA, 10.0)["mse_h"]) / du**2
             assert ratio == pytest.approx(factor, rel=1e-3)
 
     def test_aoa_error_deg(self):
-        assert float(aoa_error_deg(0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
-        assert float(aoa_error_deg(0.0, math.sin(math.radians(30)))) == pytest.approx(30.0)
+        cfg = ArrayConfig(16, 0.5)
+        aoa = slot_metrics(cfg, [0.5, 0.0], [0.5, math.sin(math.radians(30))], BETA, 10.0)["aoa_error_deg"]
+        assert aoa[0] == pytest.approx(0.0, abs=1e-12)
+        assert aoa[1] == pytest.approx(30.0)
 
 
 class TestSpecValidation:
@@ -118,6 +116,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="sinusoid_amplitude"):
             ExperimentSpec(kind="dynamic-trajectory", sinusoid_amplitude=-1.6)
         ExperimentSpec(kind="dynamic-trajectory", bound=math.pi / 2, sinusoid_amplitude=-math.pi / 2)
+
+    def test_omega_tol_above_the_float_spacing(self):
+        # with omega_tol = 1e-20 the bisection midpoint stalled at one float
+        # after ~55 steps and re-simulated that velocity forever
+        with pytest.raises(ConfigError, match="omega_tol"):
+            ExperimentSpec(kind="max-velocity-table", omega_hi=0.3, omega_tol=1e-20)
+        ExperimentSpec(kind="max-velocity-table", omega_hi=0.3, omega_tol=math.ulp(0.3))
 
 
 def assert_same_csvs_across_workers(spec, tmp_path, worker_counts):
@@ -298,11 +303,11 @@ class TestExperimentPool:
     def test_failing_chunk_cancels_the_queued_chunks(self, pools, monkeypatch):
         ran = []
 
-        def failing(setup, lo, hi, collect):
+        def failing(setup, lo, hi):
             ran.append(setup.algorithm)
             if setup.algorithm == "cs":
                 raise RuntimeError("chunk failed")
-            return run_chunk(setup, lo, hi, collect)
+            return run_chunk(setup, lo, hi)
 
         monkeypatch.setattr(harness, "run_chunk", failing)
         spec = ExperimentSpec(
@@ -315,7 +320,7 @@ class TestExperimentPool:
         assert [(p.queued, p.shutdowns) for p in pools] == [(3, [{"cancel_futures": True}])]
 
 
-def _raising_chunk(setup, lo, hi, collect):
+def _raising_chunk(setup, lo, hi):
     raise RuntimeError(f"chunk {lo}-{hi} of {setup.algorithm} failed")
 
 
@@ -408,6 +413,12 @@ class TestExperimentKinds:
         p = summary_value(res, "init_success_rate", "coarse-sweep")
         assert p >= 0.98
 
+    def test_init_rate_stderr_zero_when_every_trial_succeeds(self):
+        spec = ExperimentSpec(kind="init-success-rate", m_data=16, x=0.3, no_noise=True, n_trials=200, seed=1)
+        res = run_experiment(spec)
+        assert summary_value(res, "init_success_rate", "coarse-sweep") == 1.0
+        assert summary_value(res, "init_success_stderr", "coarse-sweep") == 0.0
+
     def test_theory_diagnostics(self):
         spec = ExperimentSpec(
             kind="theory-diagnostics", m_data=8, x=0.5, snr_db=10.0, x0_hat=0.4, delta=0.05, n0=30.0,
@@ -477,16 +488,10 @@ class TestAggregation:
         from beamtrack.harness import simulate
 
         spec = ExperimentSpec(kind="static-convergence", m_data=16, snr_db=30.0, n_slots=2000, n_trials=1024, seed=3)
-        series, extras = simulate(
-            spec, "recursive", spec.build_model(), 1024, 2000,
-            collect=("final_estimate", "final_x"), x0_mode="true",
-        )
-        x_hat, x = extras["final_estimate"], extras["final_x"]
-        per_trial = {
-            "rate": rate_closed(spec.cfg_data, x_hat, x, spec.rho),
-            "mse_h": mse_h_closed(spec.cfg_data, x_hat, x, spec.beta),
-        }
-        for name, values in per_trial.items():
+        series, extras = simulate(spec, "recursive", spec.build_model(), 1024, 2000, x0_mode="true")
+        per_trial = slot_metrics(spec.cfg_data, extras["final_estimate"], extras["final_x"], spec.beta, spec.rho)
+        for name in ("rate", "mse_h"):
+            values = per_trial[name]
             expected = values.std(ddof=1) / math.sqrt(values.size)
             assert expected > 0
             np.testing.assert_allclose(series.stderr[name][-1], expected, rtol=1e-6)

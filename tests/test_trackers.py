@@ -35,7 +35,7 @@ def setup8(**over):
 
 
 def run_one(setup, key="final_estimate", trials=1):
-    return run_chunk(setup, 0, trials, collect=(key,)).extras[key]
+    return run_chunk(setup, 0, trials).extras[key]
 
 
 def means(setup, lo=0, hi=1):
@@ -199,7 +199,7 @@ class TestAngularStep:
     def test_degenerate_gain_flagged_and_bounded(self):
         for x0, degenerate in ((1.0, 1), (0.5, 0)):
             s = setup8(algorithm="angular", model=dynamics.Static(0.99), x0_mode="fixed", x0_value=x0)
-            res = run_chunk(s, 0, 1, collect=("degenerate_slots", "final_estimate"))
+            res = run_chunk(s, 0, 1)
             assert res.extras["degenerate_slots"][0] == degenerate
             assert abs(res.extras["final_estimate"][0]) <= 1.0
 
@@ -299,9 +299,7 @@ class TestConvergenceBehavior:
                 schedule=DiminishingStep(alpha_star(cfg16)), model=None,
                 n_slots=10_000, m0=32, base_seed=55, x0_mode="sweep",
             )
-            res = run_chunk(
-                setup, 0, 1000, collect=("final_estimate", "final_x", "init_in_mainlobe")
-            )
+            res = run_chunk(setup, 0, 1000)
             keep = res.extras["init_in_mainlobe"]
             err = np.abs(res.extras["final_estimate"] - res.extras["final_x"])[keep]
             ok = err < 1.0 / (2 * 16 * 0.5)
