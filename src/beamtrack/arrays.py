@@ -87,17 +87,17 @@ class BeamformingVector:
         return np.exp(1j * self.phases) / math.sqrt(self.num_antennas)
 
 
-def steering_vector(cfg: ArrayConfig, x: float) -> np.ndarray:
-    """Array response a(x) with entries exp(-1j*2*pi*(d/lambda)*m*x)."""
-    if not -1.0 <= x <= 1.0:
+def steering_vector(cfg: ArrayConfig, x) -> np.ndarray:
+    """Array response a(x) with entries exp(-1j*2*pi*(d/lambda)*m*x), one
+    per direction of a scalar or array ``x``: shape ``x.shape + (M,)``."""
+    if not np.all(np.abs(x) <= 1.0):  # also rejects NaN
         raise ValueError(f"spatial frequency x must lie in [-1, 1], got {x!r}")
-    return np.exp(-1j * cfg.phase_factor * cfg.antenna_indices * x)
+    return np.exp(-1j * cfg.phase_factor * np.multiply.outer(x, cfg.antenna_indices))
 
 
-def steering_vector_deriv(cfg: ArrayConfig, x: float) -> np.ndarray:
+def steering_vector_deriv(cfg: ArrayConfig, x) -> np.ndarray:
     """Entrywise derivative d a(x)/dx."""
-    m = cfg.antenna_indices
-    return (-1j * cfg.phase_factor * m) * np.exp(-1j * cfg.phase_factor * m * x)
+    return (-1j * cfg.phase_factor * cfg.antenna_indices) * steering_vector(cfg, x)
 
 
 def conjugate_beamformer(cfg: ArrayConfig, v: float) -> BeamformingVector:

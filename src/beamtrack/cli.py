@@ -56,6 +56,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config: file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     unknown = set(raw) - _SPEC_FIELDS
@@ -205,10 +207,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "crlb":
-        return _run_crlb(spec, slots, args.out)
-
     try:
+        if args.command == "crlb":
+            return _run_crlb(spec, slots, args.out)
         result = run_experiment(spec, out_dir=args.out, workers=args.workers)
     except Exception as exc:  # runtime failure after validation
         print(f"error: {exc}", file=sys.stderr)

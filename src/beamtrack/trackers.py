@@ -5,8 +5,9 @@ beams (unitary at half-wavelength spacing) and projects the observations
 on a redundant direction dictionary to obtain an initial estimate.  Stage 2
 spends one pilot per slot: it matches the beamformer to the current
 estimate and corrects it with the imaginary part of the observation,
-scaled by a step size and clamped to the valid domain.  This module holds the codebook, the dictionary projection and the
-step-size schedules; the slot recursions run in :mod:`beamtrack.engine`.
+scaled by a step size and clamped to the valid domain.  This module holds
+the codebook, the dictionary projection and the step-size schedules; the
+slot recursions run in :mod:`beamtrack.engine`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .analysis import lipschitz_constant
+from .arrays import ArrayConfig, steering_vector
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,13 @@ def step_size(schedule: StepSizeSchedule, n: int) -> float:
 
 
 def alpha_star(cfg: ArrayConfig) -> float:
-    """Step-size scale lambda/(sqrt(M)*(M-1)*pi*d) attaining the minimum CRLB."""
-    m = cfg.num_antennas
-    return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * cfg.spacing_ratio)
+    """Step-size scale 1/L = lambda/(sqrt(M)*(M-1)*pi*d) attaining the minimum CRLB."""
+    return 1.0 / lipschitz_constant(cfg)
 
 
 def codebook_directions(cfg: ArrayConfig) -> np.ndarray:
-    """Sweep directions 2m/M - (M+1)/M for m = 1..M, symmetric about 0."""
-    m = cfg.num_antennas
-    return (2.0 * np.arange(1, m + 1) - (m + 1)) / m
+    """Sweep directions: the M-point dictionary, symmetric about 0."""
+    return initial_dictionary(cfg.num_antennas)
 
 
 def sweep_matrix(cfg: ArrayConfig) -> np.ndarray:
@@ -75,8 +75,7 @@ def sweep_matrix(cfg: ArrayConfig) -> np.ndarray:
     Entry (k, j) is exp(-1j*phi*k*dir_j)/sqrt(M) with phi = 2*pi*d/lambda.
     At half-wavelength spacing the matrix is unitary.
     """
-    k_dir = np.outer(cfg.antenna_indices, codebook_directions(cfg))
-    return np.exp(-1j * cfg.phase_factor * k_dir) / math.sqrt(cfg.num_antennas)
+    return steering_vector(cfg, codebook_directions(cfg)).T / math.sqrt(cfg.num_antennas)
 
 
 def initial_dictionary(m0: int) -> np.ndarray:
@@ -100,6 +99,5 @@ def initial_estimate(cfg: ArrayConfig, sweep_obs, m0: int):
     if m0 < cfg.num_antennas:
         raise ValueError(f"m0 must be >= M, got {m0!r}")
     grid = initial_dictionary(m0)
-    atoms = np.exp(-1j * cfg.phase_factor * np.outer(cfg.antenna_indices, grid))
-    scores = np.abs((atoms.conj().T @ sweep_matrix(cfg)) @ y.T)  # (M0,) or (M0, T)
+    scores = np.abs((steering_vector(cfg, grid).conj() @ sweep_matrix(cfg)) @ y.T)  # (M0,) or (M0, T)
     return grid[np.argmax(scores, axis=0)]

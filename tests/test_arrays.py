@@ -52,6 +52,27 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(ArrayConfig(4), 1.5)
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 16, 33, 64])
+    @pytest.mark.parametrize("d", [0.5, 0.37, 1.0])
+    def test_array_input_stacks_the_scalar_vectors(self, m, d):
+        # one steering vector per direction, each row the scalar call's bits
+        cfg = ArrayConfig(m, d)
+        x = np.random.default_rng(m).uniform(-1.0, 1.0, size=(6, 5))
+        x[0, :3] = [-1.0, 0.0, 1.0]
+        assert steering_vector(cfg, np.array(0.25)).shape == (m,)
+        for block in (x[0], x):
+            a = steering_vector(cfg, block)
+            assert a.shape == block.shape + (m,)
+            for idx in np.ndindex(block.shape):
+                np.testing.assert_array_equal(a[idx], steering_vector(cfg, block[idx]))
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, math.nan])
+    def test_array_input_rejects_any_entry_out_of_range(self, bad):
+        x = np.linspace(-1.0, 1.0, 7)
+        x[3] = bad
+        with pytest.raises(ValueError):
+            steering_vector(ArrayConfig(4), x)
+
     def test_half_wavelength_alias(self):
         # at d = lambda/2, directions x and x - 2 produce identical vectors
         cfg = ArrayConfig(8, 0.5)

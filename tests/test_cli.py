@@ -91,6 +91,14 @@ class TestCrlbCommand:
         assert field in err
         assert out == ""
 
+    @pytest.mark.parametrize("out", ["file", "file/x"])
+    def test_unwritable_out_exits_1_with_one_error_line(self, capsys, tmp_path, out):
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli(capsys, "crlb", "--m", "8", "--out", str(tmp_path / out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_values_follow_spec_defaults(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "crlb", "--m", "8", "--slots-list", "1,100", "--out", str(tmp_path))
         assert code == 0
@@ -112,6 +120,19 @@ class TestConfigHandling:
         assert code == 2
         assert "not found" in err
         assert not out_dir.exists()  # no partial output
+
+    @pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, unreadable):
+        cfg = tmp_path / "c.json"
+        if unreadable == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe")
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "theory", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert "config" in err
+        assert not out_dir.exists()
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

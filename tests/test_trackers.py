@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from beamtrack import dynamics
-from beamtrack.analysis import mainlobe, stability_threshold
+from beamtrack.analysis import lipschitz_constant, mainlobe, stability_threshold
 from beamtrack.arrays import ArrayConfig, f_gain_closed, steering_vector
-from beamtrack.engine import TrialSetup, run_chunk
+from beamtrack.engine import TrialSetup, cs_dictionary, run_chunk
 from beamtrack.trackers import (
     DiminishingStep,
     FixedStep,
@@ -67,6 +67,16 @@ class TestCodebook:
         cfg = ArrayConfig(8, 0.5)
         for w, v in zip(sweep_matrix(cfg).T, codebook_directions(cfg)):
             assert np.vdot(w, steering_vector(cfg, v)) == pytest.approx(math.sqrt(8), abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 16, 33, 64])
+@pytest.mark.parametrize("d", [0.5, 0.37, 1.0])
+def test_each_grid_and_step_scale_is_stated_once(m, d):
+    # the sweep codebook, the CS grid and alpha* are the dictionary and 1/L
+    cfg = ArrayConfig(m, d)
+    np.testing.assert_array_equal(codebook_directions(cfg), initial_dictionary(m))
+    np.testing.assert_array_equal(cs_dictionary(), initial_dictionary(1024))
+    assert alpha_star(cfg) == 1.0 / lipschitz_constant(cfg)
 
 
 class TestInitialEstimate:
