@@ -174,19 +174,16 @@ def _parse_slots_list(text: str) -> list[int]:
 def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> int:
     # x is estimated on the tracking array; the n*MSE(h) limit is of the data array
     cfg, rho = spec.cfg_track, spec.rho
-    imax = max_fisher_information(cfg, rho)
-    print(f"I_max                  = {imax:.6g}")
-    rows = [("i_max", "theory", imax)]
-    for n in slots:
-        val = min_crlb_x(cfg, rho, n)
-        print(f"min CRLB(x), n={n:<7d}= {val:.6g}")
-        rows.append((f"min_crlb_x@n={n}", "theory", val))
-    limit = spec.channel_crlb_limit()
-    print(f"n*MSE(h) limit         = {limit:.6g}")
-    rows.append(("crlb_n_mse_h_limit", "theory", limit))
+    # (stdout label, crlb.csv param, value); the CSV is written before
+    # anything is printed, so a failed write leaves stdout empty
+    bounds = [("I_max                  ", "i_max", max_fisher_information(cfg, rho))]
+    bounds += [(f"min CRLB(x), n={n:<7d}", f"min_crlb_x@n={n}", min_crlb_x(cfg, rho, n)) for n in slots]
+    bounds.append(("n*MSE(h) limit         ", "crlb_n_mse_h_limit", spec.channel_crlb_limit()))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "crlb.csv"), SUMMARY_HEADER, rows)
+        write_csv(os.path.join(out_dir, "crlb.csv"), SUMMARY_HEADER, [(key, "theory", v) for _, key, v in bounds])
+    for label, _, value in bounds:
+        print(f"{label}= {value:.6g}")
     return 0
 
 

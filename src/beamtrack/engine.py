@@ -11,7 +11,7 @@ an extended Kalman filter on the angle of arrival.  A single trial ``t`` is
 kernels) replace explicit steering-vector products, so a chunk of several
 hundred trials advances one slot in a handful of elementwise operations.
 
-Each algorithm is one ``step(i, x_n)`` closure over the chunk's state,
+Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
 records the returned estimate's metrics, statistics and excursions.  Least
 squares returns None and writes its own channel metrics.
@@ -34,15 +34,22 @@ Every kernel reads slot i's true spatial frequency as ``xs[..., i]``: a
 (T, n) broadcast view of the initial x in static and uniform-x runs, the
 per-trial (T, n) array of a jittered sinusoid, or the shared (n,) trajectory
 of a fixed velocity, whose steering vector is then built once per slot.  The
-receiver noise is one (T, M + warm-up + n) complex block, scaled in place to
-the stage-1 and tracking SNRs and read through views, so a chunk holds its
-noise once (all zeros in no-noise mode).
+receiver noise of the stage-1 sweep and the CS warm-up is one (T, M + warm-up)
+complex block; the tracking noise is drawn K slots at a time into one reused
+(T, K) block, K = min(n, ``_NOISE_BLOCK`` // T), and the slot loop hands
+each step its column ``w_n``.  Each block is scaled in place to its SNR, so a
+chunk's noise memory does not grow with n (all zeros in no-noise mode).
 
-Reproducibility contract: trial ``t`` owns three child streams spawned from
-``SeedSequence([base_seed, t])`` in the order (trajectory, observation noise,
-algorithm randomness).  Within each stream, draws occur in a canonical order
-(stage-1 sweep noise first, then one complex sample per slot), so results are
-independent of chunk boundaries and worker count.
+Reproducibility contract: trial ``t`` owns three child streams of
+``SeedSequence([base_seed, t])``: trajectory (kind 0), observation noise
+(kind 1) and algorithm randomness (kind 2).  :func:`trial_streams` builds a
+child directly from its spawn key, the same stream as ``spawn(3)[kind]``,
+and a chunk builds only the children it reads: trajectory children for
+uniform-x and jittered-sinusoid truth, noise children when noise is on,
+algorithm children for CS.  Within each stream, draws occur in a canonical
+order (stage-1 sweep noise first, then one complex sample per slot), and a
+stream drawn in pieces continues where it stopped, so results are
+independent of chunk boundaries, noise block size and worker count.
 """
 
 from __future__ import annotations
@@ -81,6 +88,12 @@ ALGORITHMS = ("recursive", "angular") + BASELINE_ALGORITHMS
 _CS_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # trials scored at once: keeps the (B, 1024) score temporaries in L2 cache
 _CS_BLOCK = 32
+# complex samples in one chunk's tracking-noise block (8 MB): T trials hold
+# min(n, _NOISE_BLOCK // T) slots of noise at a time
+_NOISE_BLOCK = 2**19
+
+# child streams of SeedSequence([base_seed, t]), by spawn key
+TRAJECTORY, NOISE, ALGORITHM = 0, 1, 2
 
 # rows of a slot's metric block
 _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
@@ -217,21 +230,22 @@ class ChunkResult:
     extras: dict = field(default_factory=dict)
 
 
-def trial_streams(base_seed: int, trial: int):
-    """Per-trial child generators (trajectory, noise, algorithm)."""
-    children = np.random.SeedSequence([base_seed, trial]).spawn(3)
-    return tuple(np.random.default_rng(c) for c in children)
+def trial_streams(base_seed: int, trials: Sequence[int], kind: int) -> list[np.random.Generator]:
+    """Child ``kind`` (TRAJECTORY, NOISE or ALGORITHM) of
+    ``SeedSequence([base_seed, t])`` for every trial ``t`` in ``trials``.
+
+    Each child is built directly from its spawn key, without spawning its
+    siblings; it draws the same stream as ``spawn(3)[kind]``.
+    """
+    return [np.random.default_rng(np.random.SeedSequence([base_seed, t], spawn_key=(kind,))) for t in trials]
 
 
-def draw_noise(rngs: Sequence[np.random.Generator], total: int) -> np.ndarray:
-    """(T, total) complex block; row k is ``total`` samples re + 1j*im from
-    ``rngs[k]``, drawn as interleaved (re, im) standard normals."""
-    # np.zeros, though every entry is drawn: with np.empty a full experiment
-    # peaked 0.15-0.3 MB higher in RSS
-    block = np.zeros((len(rngs), total), dtype=complex)
-    for k, r in enumerate(rngs):
-        r.standard_normal(out=block[k].view(np.float64))
-    return block
+def draw_noise(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Fill the complex (T, k) ``out``: row t is the next k samples re + 1j*im
+    of ``rngs[t]``, drawn as interleaved (re, im) standard normals."""
+    for row, r in zip(out, rngs):
+        r.standard_normal(out=row.view(np.float64))
+    return out
 
 
 def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
@@ -243,9 +257,10 @@ def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
 def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     """Simulate trials [trial_lo, trial_hi); return per-slot metric statistics.
 
-    Each algorithm's branch sets up its state and defines ``step(i, x_n)``,
-    which advances every trial by slot i, given slot i's truth ``x_n``, and
-    returns the slot's estimate of x.  One slot loop then writes that
+    Each algorithm's branch sets up its state and defines
+    ``step(i, x_n, w_n)``, which advances every trial by slot i, given slot
+    i's truth ``x_n`` and scaled noise ``w_n``, and returns the slot's
+    estimate of x.  One slot loop then writes that
     estimate's metrics into one (len(METRIC_NAMES), T) block for
     ``SlotStats.record`` and updates the excursion flags.  Least squares
     estimates the channel, not x: its ``step`` writes the mse_h and rate rows
@@ -264,14 +279,16 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     cfg_d = setup.cfg_data
     m = cfg.num_antennas
 
-    streams = (trial_streams(setup.base_seed, t) for t in range(trial_lo, trial_hi))
-    traj_rngs, noise_rngs, algo_rngs = zip(*streams)
+    trials = range(trial_lo, trial_hi)
 
     # --- trajectory: slot i's truth is xs[..., i] --------------------------
+    # trajectory streams are dropped once drawn: holding a 2048-trial chunk's
+    # (2.8 MB) through the slot loop raised static-m16's peak RSS from 54.7
+    # to 61.8 MB
     model = setup.model
     per_slot_traj = model is not None and not isinstance(model, dynamics.Static)
     if model is None:
-        x_true0 = np.array([r.uniform(-1.0, 1.0) for r in traj_rngs])
+        x_true0 = np.array([r.uniform(-1.0, 1.0) for r in trial_streams(setup.base_seed, trials, TRAJECTORY)])
     else:
         x_true0 = np.full(n_trials, dynamics.initial_x(model))
     # asin(xs[..., i]) for the AoA error, taken once per distinct truth
@@ -283,17 +300,26 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         asin_xs = np.arcsin(xs)
     else:  # SinusoidJitter: per-trial jitter realizations, asin taken per slot
         xs = np.empty((n_trials, n))
-        for k, r in enumerate(traj_rngs):
+        for k, r in enumerate(trial_streams(setup.base_seed, trials, TRAJECTORY)):
             xs[k] = dynamics.trajectory(model, n, r)
         asin_xs = None
 
-    # --- noise: one block, scaled in place --------------------------------
+    # --- noise: blocks scaled in place, all zeros in no-noise mode ---------
+    # the stage-1 sweep and CS warm-up now; the slot loop fills ``noise``
+    # K slots at a time
+    noise_rngs = None if setup.no_noise else trial_streams(setup.base_seed, trials, NOISE)
     warm = m // 2 if (setup.algorithm == "cs" and per_slot_traj) else 0
-    total = m + warm + n
-    block = np.zeros((n_trials, total), dtype=complex) if setup.no_noise else draw_noise(noise_rngs, total)
-    block[:, :m] *= math.sqrt(0.5 / setup.stage1_rho)
-    block[:, m:] *= math.sqrt(0.5 / setup.rho)
-    sweep_noise, warm_noise, noise = block[:, :m], block[:, m : m + warm], block[:, m + warm :]
+    sigma = math.sqrt(0.5 / setup.rho)
+    # np.zeros, though every entry is drawn: with np.empty a full experiment
+    # peaked 0.15-0.3 MB higher in RSS
+    head = np.zeros((n_trials, m + warm), dtype=complex)
+    if noise_rngs:
+        draw_noise(noise_rngs, head)
+    head[:, :m] *= math.sqrt(0.5 / setup.stage1_rho)
+    head[:, m:] *= sigma
+    sweep_noise, warm_noise = head[:, :m], head[:, m:]
+    k_block = min(n, max(1, _NOISE_BLOCK // n_trials))
+    noise = np.zeros((n_trials, k_block), dtype=complex)
 
     def observe(v, x):
         """Noise-free pilot D_M(phi*(v - x))/sqrt(M) through the matched beam at v."""
@@ -332,21 +358,20 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     reuse = not per_slot_traj and cfg == cfg_d
     inv_sqrt_m = 1.0 / math.sqrt(m)
     im_y = np.empty(n_trials)
-    noise_im = noise.imag
 
-    def observe_im(i, v, x_n):
-        """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + noise, in
+    def observe_im(i, v, x_n, w_n):
+        """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + Im w_n, in
         ``im_y``; D is evaluated afresh or read as slot i - 1's metrics left it."""
         if i == 0 or not reuse:
             dirichlet_parts(cfg, v, x_n, kernel, im_only=True)
         np.multiply(im_d, inv_sqrt_m, out=im_y)
-        return np.add(im_y, noise_im[:, i], out=im_y)
+        return np.add(im_y, w_n.imag, out=im_y)
 
     if setup.algorithm == "recursive":
         v = x0_hat.copy()
 
-        def step(i, x_n):
-            y = observe_im(i, v, x_n)
+        def step(i, x_n, w_n):
+            y = observe_im(i, v, x_n, w_n)
             np.subtract(v, np.multiply(y, a_sched[i], out=y), out=v)
             return _clip(v, -1.0, 1.0)
 
@@ -355,11 +380,11 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         x_ang = np.sin(th)
         gain = np.empty(n_trials)
 
-        def step(i, x_n):
+        def step(i, x_n, w_n):
             np.cos(th, out=gain)  # >= 0 on the clipped [-pi/2, pi/2]
             np.add(degenerate_slots, gain < COS_GUARD, out=degenerate_slots)
             np.maximum(gain, COS_GUARD, out=gain)
-            y = observe_im(i, x_ang, x_n)
+            y = observe_im(i, x_ang, x_n, w_n)
             np.divide(a_sched[i], gain, out=gain)
             np.subtract(th, np.multiply(y, gain, out=y), out=th)
             _clip(th, -_HALF_PI, _HALF_PI)
@@ -373,9 +398,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         counts = np.ones(m)
         accumulate = not per_slot_traj  # static mode averages every sweep
 
-        def step(i, x_n):
+        def step(i, x_n, w_n):
             j = i % m
-            r_new = pb * (observe(dirs[j], x_n) + noise[:, i])
+            r_new = pb * (observe(dirs[j], x_n) + w_n)
             if accumulate:
                 buf[:, j] += r_new
                 counts[j] += 1.0
@@ -393,7 +418,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     elif setup.algorithm == "cs":
         scorer = CsScorer(cfg, cs_dictionary())
         probes = np.empty((n_trials, warm + n, m), dtype=np.int8)
-        for k, r in enumerate(algo_rngs):
+        for k, r in enumerate(trial_streams(setup.base_seed, trials, ALGORITHM)):
             probes[k] = r.integers(0, 4, size=(warm + n, m))
         window = m // 2 if per_slot_traj else 1  # static: one running sum
         ring_z = np.zeros((window, n_trials, m), dtype=complex)
@@ -416,8 +441,8 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         for k in range(warm):
             sound(k, x_true0, warm_noise[:, k])
 
-        def step(i, x_n):
-            sound(warm + i, x_n, noise[:, i])
+        def step(i, x_n, w_n):
+            sound(warm + i, x_n, w_n)
             count = window if per_slot_traj else i + 1
             return scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
 
@@ -427,9 +452,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         run_mag = np.full(n_trials, -np.inf)
         run_idx = best.copy()
 
-        def step(i, x_n):
+        def step(i, x_n, w_n):
             idx = _clip(best + (i % 3 - 1), 0, m - 1)
-            mag = np.abs(observe(dirs[idx], x_n) + noise[:, i])
+            mag = np.abs(observe(dirs[idx], x_n) + w_n)
             np.copyto(run_idx, idx, where=mag > run_mag)
             np.maximum(mag, run_mag, out=run_mag)
             if i % 3 == 2:
@@ -447,11 +472,11 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         p_var = np.full(n_trials, setup.kf_p0)
         phi = cfg.phase_factor
 
-        def step(i, x_n):
+        def step(i, x_n, w_n):
             nonlocal th, p_var
             sgn = 1.0 if i % 2 == 0 else -1.0
             vp = np.sin(_clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI))
-            y = observe(vp, x_n) + noise[:, i]
+            y = observe(vp, x_n) + w_n
             xp = np.sin(th)
             jac = -1j * phi * np.cos(th) * weighted_dirichlet(phi * (vp - xp), m) / math.sqrt(m)
             jac2 = jac.real**2 + jac.imag**2
@@ -463,8 +488,12 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
 
     x_hat = np.full(n_trials, np.nan)
     for i in range(n):
+        j = i % k_block
+        if j == 0 and noise_rngs:  # the next K slots' noise, or the n - i left
+            block = draw_noise(noise_rngs, noise[:, : n - i])
+            block *= sigma
         x_n = xs[..., i]
-        estimate = step(i, x_n)
+        estimate = step(i, x_n, noise[:, j])
         if estimate is not None:  # leaves D_M(phi_d*(x_hat - x_n)) in ``kernel``
             x_hat = estimate
             dirichlet_parts(cfg_d, x_hat, x_n, kernel)

@@ -289,13 +289,15 @@ class ExperimentResult:
 def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool, m: int) -> int:
     """Fixed chunking (independent of worker count) sized to bound memory.
 
-    The budget per trial and slot is one complex noise sample (16 B), the
-    true x of a per-trial trajectory (8 B) and, for CS, the slot's int8 probe
-    indices (``m`` B).  ``run_chunk`` keeps its noise as one block, scaled in
-    place, so the noise term is what a chunk holds, not a lower bound.
+    ``run_chunk`` draws its tracking noise into one block of at most
+    ``engine._NOISE_BLOCK`` samples, so noise no longer grows with n_slots,
+    and every algorithm but CS takes 2048-trial chunks (CS keeps 128, so its
+    chunks balance a pool's workers).  The budget per trial and slot counts
+    only what still grows with n_slots: the true x of a per-trial trajectory
+    (8 B) and, for CS, the slot's int8 probe indices (``m`` B).
     """
-    base = 128 if algorithm == "cs" else 512
-    per_slot_bytes = 16 + (8 if per_trial_traj else 0) + (m if algorithm == "cs" else 0)
+    base = 128 if algorithm == "cs" else 2048
+    per_slot_bytes = (8 if per_trial_traj else 0) + (m if algorithm == "cs" else 0)
     while base > 8 and base * per_slot_bytes * n_slots > 2.7e8:
         base //= 2
     return base

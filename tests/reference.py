@@ -37,8 +37,11 @@ from beamtrack.arrays import (
     weighted_dirichlet,
 )
 from beamtrack.engine import (
+    ALGORITHM,
     COS_GUARD,
     KF_OFFSET_RAD,
+    NOISE,
+    TRAJECTORY,
     cs_dictionary,
     kf_default_process_noise,
     trial_streams,
@@ -185,7 +188,7 @@ def stage1(setup, trial):
     where the slot loop starts drawing).
     """
     cfg = _tracking_cfg(setup)
-    _, noise_rng, _ = trial_streams(setup.base_seed, trial)
+    [noise_rng] = trial_streams(setup.base_seed, [trial], NOISE)
     snr1 = SnrConfig(pilot=setup.pilot, rho=setup.stage1_rho, no_noise=setup.no_noise)
     channel = ChannelState(dynamics.initial_x(setup.model), setup.beta)
     beams = [conjugate_beamformer(cfg, v) for v in codebook_directions(cfg)]
@@ -293,7 +296,9 @@ def cs_chunk(setup, trial_lo, trial_hi):
     cfg = setup.cfg_data
     m, n, phi = cfg.num_antennas, setup.n_slots, cfg.phase_factor
     t = trial_hi - trial_lo
-    traj_rngs, noise_rngs, algo_rngs = zip(*(trial_streams(setup.base_seed, k) for k in range(trial_lo, trial_hi)))
+    traj_rngs, noise_rngs, algo_rngs = (
+        trial_streams(setup.base_seed, range(trial_lo, trial_hi), kind) for kind in (TRAJECTORY, NOISE, ALGORITHM)
+    )
     model = setup.model
     moving = model is not None and not isinstance(model, dynamics.Static)
     if model is None:

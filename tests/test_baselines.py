@@ -284,9 +284,10 @@ class TestPilotParity:
         original = engine.trial_streams
         noise_streams = []
 
-        def recording(base_seed, trial):
-            streams = original(base_seed, trial)
-            noise_streams.append((base_seed, trial, streams[1]))
+        def recording(base_seed, trials, kind):
+            streams = original(base_seed, trials, kind)
+            if kind == engine.NOISE:
+                noise_streams.extend((base_seed, t, rng) for t, rng in zip(trials, streams))
             return streams
 
         monkeypatch.setattr(engine, "trial_streams", recording)
@@ -298,7 +299,7 @@ class TestPilotParity:
                 warm = m // 2 if algorithm == "cs" and moving else 0
                 assert len(noise_streams) == 3
                 for base_seed, trial, rng in noise_streams:
-                    fresh = original(base_seed, trial)[1]
+                    [fresh] = original(base_seed, [trial], engine.NOISE)
                     fresh.standard_normal(2 * (m + warm + n))
                     assert rng.bit_generator.state == fresh.bit_generator.state, (algorithm, moving)
 

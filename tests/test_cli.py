@@ -99,6 +99,14 @@ class TestCrlbCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
+    def test_unwritable_out_prints_no_bounds(self, capsys, tmp_path):
+        # the bounds reach stdout only once crlb.csv is written
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, "crlb", "--m", "8", "--out", str(tmp_path / "file" / "x"))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_values_follow_spec_defaults(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "crlb", "--m", "8", "--slots-list", "1,100", "--out", str(tmp_path))
         assert code == 0

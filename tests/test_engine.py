@@ -142,14 +142,74 @@ class TestSlotMetrics:
 
 
 class TestNoiseDraw:
+    def test_streams_are_the_spawned_children(self):
+        # a child built from its spawn key is the child spawn(3) returns
+        for kind in (engine.TRAJECTORY, engine.NOISE, engine.ALGORITHM):
+            direct = engine.trial_streams(7, range(3), kind)
+            for t, rng in enumerate(direct):
+                spawned = np.random.default_rng(np.random.SeedSequence([7, t]).spawn(3)[kind])
+                np.testing.assert_array_equal(rng.standard_normal(9), spawned.standard_normal(9))
+
     def test_rows_match_the_pairwise_draw(self):
         # each row is drawn in place as interleaved (re, im) normals: bit for
         # bit the (total, 2) draw re + 1j*im of the same trial stream
         total = 41
-        block = engine.draw_noise([engine.trial_streams(7, t)[1] for t in range(3)], total)
-        for t in range(3):
-            raw = engine.trial_streams(7, t)[1].standard_normal((total, 2))
+        block = engine.draw_noise(engine.trial_streams(7, range(3), engine.NOISE), np.zeros((3, total), complex))
+        for t, rng in enumerate(engine.trial_streams(7, range(3), engine.NOISE)):
+            raw = rng.standard_normal((total, 2))
             np.testing.assert_array_equal(block[t], raw[:, 0] + 1j * raw[:, 1])
+
+    def test_block_drawn_in_pieces_is_one_draw(self):
+        # the slot loop refills a reused block: each piece continues the stream
+        total = 41
+        whole = engine.draw_noise(engine.trial_streams(7, range(3), engine.NOISE), np.zeros((3, total), complex))
+        rngs = engine.trial_streams(7, range(3), engine.NOISE)
+        block = np.zeros((3, 6), complex)
+        pieces = [engine.draw_noise(rngs, block[:, : total - lo]).copy() for lo in range(0, total, 6)]
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+
+class TestNoiseBlocks:
+    MODELS = [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)]
+    MODEL_IDS = ["uniform", "static", "fixed-velocity", "sinusoid"]
+
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_block_boundaries_leave_every_value(self, monkeypatch, algorithm, model):
+        # K = 1, 3 and 7 slots per noise block, with blocks ending mid-run
+        n_trials = 5
+        setup = base_setup(algorithm=algorithm, model=model, n_slots=23, excursion_threshold_rad=0.05)
+        default = run_chunk(setup, 0, n_trials)
+        for k in (1, 3, 7):
+            monkeypatch.setattr(engine, "_NOISE_BLOCK", k * n_trials)
+            res = run_chunk(setup, 0, n_trials)
+            np.testing.assert_array_equal(res.stats.mean, default.stats.mean)
+            np.testing.assert_array_equal(res.stats.m2, default.stats.m2)
+            for key, value in default.extras.items():
+                assert res.extras[key].dtype == value.dtype, key
+                np.testing.assert_array_equal(res.extras[key], value, err_msg=key)
+
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("no_noise", [False, True])
+    def test_streams_built_only_when_read(self, monkeypatch, algorithm, model, no_noise):
+        # trajectory children for uniform-x and jittered-sinusoid truth, noise
+        # children when noise is on, algorithm children for CS
+        built = {kind: 0 for kind in (engine.TRAJECTORY, engine.NOISE, engine.ALGORITHM)}
+        original = engine.trial_streams
+
+        def counting(base_seed, trials, kind):
+            built[kind] += len(trials)
+            return original(base_seed, trials, kind)
+
+        monkeypatch.setattr(engine, "trial_streams", counting)
+        run_chunk(base_setup(algorithm=algorithm, model=model, n_slots=4, no_noise=no_noise), 2, 5)
+        random_truth = model is None or isinstance(model, dynamics.SinusoidJitter)
+        assert built == {
+            engine.TRAJECTORY: 3 if random_truth else 0,
+            engine.NOISE: 0 if no_noise else 3,
+            engine.ALGORITHM: 3 if algorithm == "cs" else 0,
+        }
 
 
 @pytest.fixture
@@ -204,20 +264,20 @@ class TestOneDirichletPerStaticSlot:
 
 
 class TestChunkMemory:
-    def test_noise_block_held_once(self):
-        # one (T, M + n) complex noise block, scaled in place and read through
-        # views; a scaled copy kept alongside it peaked at 36.0 MB here
+    @pytest.mark.parametrize("n_slots", [2000, 10_000])
+    def test_noise_memory_does_not_grow_with_slots(self, n_slots):
+        # the tracking noise is one reused block of engine._NOISE_BLOCK
+        # samples (8 MB), so a 2048-trial chunk peaks at about 13 MB at
+        # any length
         cfg = ArrayConfig(16, 0.5)
-        n_trials, n_slots = 512, 2000
         setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=n_slots)
-        budget = n_trials * (cfg.num_antennas + n_slots) * 16  # harness._chunk_size's noise budget
         tracemalloc.start()
         try:
-            run_chunk(setup, 0, n_trials)
+            run_chunk(setup, 0, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * budget
+        assert peak < 16e6
 
 
 class TestInitializationModes:

@@ -169,10 +169,10 @@ class TestDeterminism:
 class TestChunking:
     def test_chunk_bounds_unchanged_up_to_10k_slots(self):
         # the chunk bounds set the merge order, hence the last bits of every
-        # mean: every run of up to 10,000 slots keeps 512-trial chunks, and
+        # mean: every run of up to 10,000 slots keeps 2048-trial chunks, and
         # 128 for CS
         for algorithm in ALGORITHMS:
-            expected = 128 if algorithm == "cs" else 512
+            expected = 128 if algorithm == "cs" else 2048
             for n_slots in (1, 200, 2000, 10_000):
                 for per_trial_traj in (False, True):
                     for m in (2, 8, 16, 64):
@@ -181,7 +181,7 @@ class TestChunking:
     def test_cs_budget_counts_probes(self):
         # 128 trials x 10,000 slots of 256 int8 probe indices is 328 MB
         assert _chunk_size("cs", 10_000, False, 256) == 64
-        assert _chunk_size("recursive", 10_000, False, 256) == 512
+        assert _chunk_size("recursive", 10_000, False, 256) == 2048
 
 
 def count_simulate_calls(monkeypatch):
@@ -260,17 +260,17 @@ class TestExperimentPool:
         return FakePool.made
 
     def test_one_pool_sized_by_the_experiments_chunks(self, pools):
-        # 600 trials: two 512-trial chunks of recursive and five 128-trial chunks of CS
+        # 2100 trials: two 2048-trial chunks of recursive and 17 128-trial chunks of CS
         spec = ExperimentSpec(
-            kind="static-convergence", m_data=8, n_slots=3, n_trials=600, seed=3, algorithms=("recursive", "cs"),
+            kind="static-convergence", m_data=8, n_slots=3, n_trials=2100, seed=3, algorithms=("recursive", "cs"),
         )
         serial = run_experiment(spec, workers=1)
         assert pools == []
-        for workers, size in ((64, 7), (3, 3)):
+        for workers, size in ((64, 19), (3, 3)):
             pools.clear()
             pooled = run_experiment(spec, workers=workers)
-            assert [(p.max_workers, p.queued, p.shutdowns) for p in pools] == [(size, 7, [{"cancel_futures": True}])]
-            assert pools[0].queued_at_start == [7] * 7  # every chunk queued before the first runs
+            assert [(p.max_workers, p.queued, p.shutdowns) for p in pools] == [(size, 19, [{"cancel_futures": True}])]
+            assert pools[0].queued_at_start == [19] * 19  # every chunk queued before the first runs
             assert pooled.summary == serial.summary
 
     def test_sweep_queues_every_omega_on_one_pool(self, pools):
@@ -283,7 +283,7 @@ class TestExperimentPool:
 
     def test_table_search_reuses_one_pool(self, pools):
         spec = ExperimentSpec(
-            kind="max-velocity-table", m_data=8, n_slots=40, n_trials=600, seed=3,
+            kind="max-velocity-table", m_data=8, n_slots=40, n_trials=2100, seed=3,
             omega_lo=0.0, omega_hi=0.2, omega_tol=0.05,
         )
         result = run_experiment(spec, workers=4)
