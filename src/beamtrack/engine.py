@@ -42,23 +42,30 @@ chunk's noise memory does not grow with n (all zeros in no-noise mode).
 
 Reproducibility contract: trial ``t`` owns three child streams of
 ``SeedSequence([base_seed, t])``: trajectory (kind 0), observation noise
-(kind 1) and algorithm randomness (kind 2).  :func:`trial_streams` builds a
-child directly from its spawn key, the same stream as ``spawn(3)[kind]``,
-and a chunk builds only the children it reads: trajectory children for
-uniform-x and jittered-sinusoid truth, noise children when noise is on,
-algorithm children for CS.  Within each stream, draws occur in a canonical
-order (stage-1 sweep noise first, then one complex sample per slot), and a
-stream drawn in pieces continues where it stopped, so results are
-independent of chunk boundaries, noise block size and worker count.
+(kind 1) and algorithm randomness (kind 2), the same streams as
+``spawn(3)[kind]``.  :func:`trial_streams` seeds each child's PCG64 with
+``SeedSequence([base_seed, t], spawn_key=(kind,)).generate_state(4,
+np.uint64)``, computed for every trial of a chunk at once by numpy's
+SeedSequence hash over uint32 arrays (trials below 2**32);
+``tests/test_engine.py::TestNoiseDraw`` pins every stream's state to
+numpy's own.  A chunk builds only the children it reads: trajectory
+children for uniform-x and jittered-sinusoid truth, noise children when
+noise is on, algorithm children for CS.  Within each stream, draws occur
+in a canonical order (stage-1 sweep noise first, then one complex sample
+per slot), and a stream drawn in pieces continues where it stopped, so
+results are independent of chunk boundaries, noise block size and worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import dynamics
 from .arrays import ArrayConfig, dirichlet, dirichlet_parts, steering_vector, weighted_dirichlet
@@ -94,6 +101,18 @@ _NOISE_BLOCK = 2**19
 
 # child streams of SeedSequence([base_seed, t]), by spawn key
 TRAJECTORY, NOISE, ALGORITHM = 0, 1, 2
+# trial indices lie in [0, MAX_TRIALS): a trial's seed holds t as one 32-bit word
+MAX_TRIALS = 2**32
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit words, the multipliers of its input (A) and output (B) hashes and
+# of its mix step.  Python ints, as numpy 2 warns on uint32 scalar overflow
+# while uint32 arrays wrap silently.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # rows of a slot's metric block
 _MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
@@ -230,14 +249,88 @@ class ChunkResult:
     extras: dict = field(default_factory=dict)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first (one
+    word for 0), as SeedSequence splits its entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed entropy must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_seeds(base_seed: int, trials: np.ndarray, kind: int) -> np.ndarray:
+    """(T, 4) uint64 ``SeedSequence([base_seed, t], spawn_key=(kind,))
+    .generate_state(4, np.uint64)`` of every uint32 trial ``t``.
+
+    numpy's hash, with every entropy word a (T,) uint32 array: the words of
+    base_seed, then t, then zeros up to the pool size, then kind.
+    """
+    run = [np.full(trials.shape, w, np.uint32) for w in _uint32_words(base_seed)] + [trials]
+    run += [np.zeros(trials.shape, np.uint32)] * (_POOL_SIZE - len(run))
+    entropy = run + [np.full(trials.shape, w, np.uint32) for w in _uint32_words(kind)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: 8 output words cycling over the pool, paired little-endian
+    state = np.empty((trials.size, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _PresetSeed(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed: PCG64
+    asks for ``generate_state(4, np.uint64)`` and gets them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def trial_streams(base_seed: int, trials: Sequence[int], kind: int) -> list[np.random.Generator]:
     """Child ``kind`` (TRAJECTORY, NOISE or ALGORITHM) of
     ``SeedSequence([base_seed, t])`` for every trial ``t`` in ``trials``.
 
-    Each child is built directly from its spawn key, without spawning its
-    siblings; it draws the same stream as ``spawn(3)[kind]``.
+    Each child draws the same stream as ``spawn(3)[kind]``: its PCG64 is
+    seeded with ``SeedSequence([base_seed, t], spawn_key=(kind,))
+    .generate_state(4, np.uint64)``, which :func:`_pcg64_seeds` computes for
+    all trials in one pass of uint32 array arithmetic, so no SeedSequence is
+    built.  The hash takes t as one 32-bit word, so every trial must lie in
+    [0, 2**32).  ``tests/test_engine.py::TestNoiseDraw`` checks each
+    stream's state against numpy's SeedSequence.
     """
-    return [np.random.default_rng(np.random.SeedSequence([base_seed, t], spawn_key=(kind,))) for t in trials]
+    t = np.asarray(trials)
+    if t.size and (t.min() < 0 or t.max() >= MAX_TRIALS):
+        raise ValueError(f"trial indices must lie in [0, 2**32), got {t.min()}..{t.max()}")
+    seeds = _pcg64_seeds(base_seed, t.astype(np.uint32), kind)
+    return [np.random.Generator(np.random.PCG64(_PresetSeed(row))) for row in seeds]
 
 
 def draw_noise(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
@@ -397,6 +490,8 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         buf = pb * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
         counts = np.ones(m)
         accumulate = not per_slot_traj  # static mode averages every sweep
+        # a static truth's steering vectors, built once for the chunk
+        a_static = None if per_slot_traj else steering_vector(cfg, x_true0)
 
         def step(i, x_n, w_n):
             j = i % m
@@ -407,7 +502,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             else:
                 buf[:, j] = r_new
             h_hat = ((buf / counts) @ wt.T) / p
-            a_true = steering_vector(cfg, x_n)
+            a_true = steering_vector(cfg, x_n) if a_static is None else a_static
             diff = h_hat - beta * a_true
             values[_MSE_H] = np.sum(diff.real**2 + diff.imag**2, axis=1)
             w_data = np.exp(1j * np.angle(h_hat)) / math.sqrt(m)

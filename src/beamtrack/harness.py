@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import os
+import platform
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ import numpy as np
 from . import analysis, dynamics
 from .arrays import ArrayConfig
 from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
-from .engine import ALGORITHMS, BASELINE_ALGORITHMS, ChunkResult, TrialSetup, run_chunk
+from .engine import ALGORITHMS, BASELINE_ALGORITHMS, MAX_TRIALS, ChunkResult, TrialSetup, run_chunk
 from .metrics import METRIC_NAMES, SlotStats, capacity
 from .trackers import DiminishingStep, FixedStep, alpha_star
 
@@ -209,8 +210,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
     # LS inverts the sweep codebook as W^H, which is W^-1 only at half-wavelength spacing
     if "ls" in spec.algorithms and spec.spacing_ratio != 0.5:
         raise ConfigError(f"spacing_ratio: algorithm 'ls' needs 0.5, got {spec.spacing_ratio!r}")
-    if spec.n_trials < 1:
-        raise ConfigError("n_trials: must be >= 1")
+    if not 1 <= spec.n_trials <= MAX_TRIALS:
+        raise ConfigError(f"n_trials: must lie in [1, 2**32], got {spec.n_trials!r}")
     if spec.n_slots < 1:
         raise ConfigError("n_slots: must be >= 1")
     if abs(spec.pilot) == 0:
@@ -371,16 +372,22 @@ def _wait(got):
 # experiment kinds
 
 
-def _queued_chunks(spec: ExperimentSpec) -> int:
-    """The most chunks the runner of ``spec`` has queued at once: all of the
-    experiment's, except that a table search waits for each velocity."""
+def _chunk_plan(spec: ExperimentSpec) -> dict:
+    """Each simulated algorithm's chunk bounds [lo, hi) in the run of
+    ``spec``; a sweep or table search runs them once per velocity."""
     if spec.kind == "theory-diagnostics":
-        return 0
+        return {}
     if spec.kind == "init-success-rate":
-        return len(_chunk_bounds(spec, "recursive", None, spec.n_trials, 1))
+        return {"recursive": _chunk_bounds(spec, "recursive", None, spec.n_trials, 1)}
     # only the dynamic kind can have a per-trial trajectory, which sets the chunk size
     model = spec.build_model() if spec.kind == "dynamic-trajectory" else None
-    counts = [len(_chunk_bounds(spec, a, model, spec.n_trials, spec.n_slots)) for a in spec.algorithms]
+    return {a: _chunk_bounds(spec, a, model, spec.n_trials, spec.n_slots) for a in spec.algorithms}
+
+
+def _queued_chunks(plan: dict, spec: ExperimentSpec) -> int:
+    """The most chunks the runner of ``spec`` has queued at once: all of the
+    experiment's, except that a table search waits for each velocity."""
+    counts = [len(bounds) for bounds in plan.values()]
     if spec.kind == "max-velocity-table":
         return max(counts)
     return sum(counts) * (len(spec.omegas) if spec.kind == "velocity-sweep" else 1)
@@ -390,24 +397,33 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     """Execute the experiment described by ``spec``.
 
     Deterministic for a given spec and seed regardless of ``workers``.  When
-    ``out_dir`` is given, per-metric CSV series, a summary CSV, and a JSON
-    metadata echo of the resolved spec are written there.
+    ``out_dir`` is given, per-metric CSV series, a summary CSV, and
+    ``metadata.json`` are written there.  The metadata echoes the resolved
+    spec and records the run's provenance: the beamtrack, numpy and Python
+    versions, ``workers`` and each algorithm's chunk bounds.  It holds no
+    time, so a spec, worker count and install always write the same bytes.
 
     With ``workers > 1`` and more than one chunk queued at once, the run opens
     one process pool of at most ``min(workers, chunks)`` processes for all of
     its ``simulate`` calls.  If a chunk raises, the chunks still queued are
     cancelled and the error propagates.
     """
-    size = min(workers, _queued_chunks(spec))
+    plan = _chunk_plan(spec)
+    size = min(workers, _queued_chunks(plan, spec))
     pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
     try:
         result = _RUNNERS[spec.kind](spec, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    from . import __version__  # defined once the package has imported this module
+
     result.metadata.update(
         spec=_spec_dict(spec),
         chunking="fixed per algorithm; reduction order independent of workers",
+        chunks={algo: [list(b) for b in bounds] for algo, bounds in plan.items()},
+        workers=workers,
+        versions={"beamtrack": __version__, "numpy": np.__version__, "python": platform.python_version()},
     )
     if out_dir is not None:
         write_result(result, out_dir)

@@ -15,6 +15,9 @@ the ``sweep``, ``fixed`` and ``true`` starts.
 :func:`cs_chunk` runs the compressed-sensing sounder over a chunk of trials
 on explicit 1024-atom correlation sums, which the engine's per-trial (T, M)
 statistic must reproduce atom for atom.
+
+Both draw from :func:`trial_streams`, built by numpy's own SeedSequence, so
+the parity tests also check the engine's vectorised seed hash.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from beamtrack.engine import (
     TRAJECTORY,
     cs_dictionary,
     kf_default_process_noise,
-    trial_streams,
 )
 from beamtrack.metrics import METRIC_NAMES, SlotStats, write_slot_metrics
 from beamtrack.trackers import codebook_directions, initial_estimate, step_size
@@ -175,6 +177,12 @@ def rate(cfg, w_data, channel, rho):
     """Achievable rate log2(1 + rho*|w^H a(x)|^2) in bits/s/Hz."""
     resp = np.vdot(w_data.weights, steering_vector(cfg, channel.x))
     return math.log2(1.0 + rho * (resp.real**2 + resp.imag**2))
+
+
+def trial_streams(base_seed, trials, kind):
+    """Child ``kind`` of ``SeedSequence([base_seed, t])`` for every trial
+    ``t``, built by numpy's SeedSequence."""
+    return [np.random.default_rng(np.random.SeedSequence([base_seed, t], spawn_key=(kind,))) for t in trials]
 
 
 def _tracking_cfg(setup):

@@ -164,6 +164,12 @@ class TestConfigHandling:
         imax = float(re.search(r"I_max\s*=\s*([0-9.e+-]+)", out).group(1))
         assert imax == pytest.approx(1960 * math.pi**2, rel=1e-4)
 
+    def test_trials_past_the_seed_word_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "static", "--m", "8", "--trials", str(2**32 + 1), "--slots", "3")
+        assert code == 2
+        assert "n_trials" in err
+        assert out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, capsys, workers):
         code, out, err = run_cli(

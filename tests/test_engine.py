@@ -142,13 +142,27 @@ class TestSlotMetrics:
 
 
 class TestNoiseDraw:
+    # base seeds of one to four 32-bit words, and trials at the word edges
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 5]
+    TRIALS = [0, 2047, 2048, 2**31, 2**32 - 1, *range(5, 40, 3)]
+
     def test_streams_are_the_spawned_children(self):
-        # a child built from its spawn key is the child spawn(3) returns
-        for kind in (engine.TRAJECTORY, engine.NOISE, engine.ALGORITHM):
-            direct = engine.trial_streams(7, range(3), kind)
-            for t, rng in enumerate(direct):
-                spawned = np.random.default_rng(np.random.SeedSequence([7, t]).spawn(3)[kind])
-                np.testing.assert_array_equal(rng.standard_normal(9), spawned.standard_normal(9))
+        # the vectorised seed hash gives every child the PCG64 state of numpy's
+        # SeedSequence([seed, t]).spawn(3)[kind]
+        for seed in self.SEEDS:
+            for kind in (engine.TRAJECTORY, engine.NOISE, engine.ALGORITHM):
+                direct = engine.trial_streams(seed, self.TRIALS, kind)
+                assert len(direct) == len(self.TRIALS)
+                for t, rng in zip(self.TRIALS, direct):
+                    spawned = np.random.default_rng(np.random.SeedSequence([seed, t]).spawn(3)[kind])
+                    assert rng.bit_generator.state == spawned.bit_generator.state, (seed, t, kind)
+                np.testing.assert_array_equal(direct[-1].standard_normal(9), spawned.standard_normal(9))
+            assert engine.trial_streams(seed, [], engine.NOISE) == []
+
+    @pytest.mark.parametrize("trials", [[2**32], [3, 2**32 + 5], [-1]])
+    def test_trial_outside_one_word_raises(self, trials):
+        with pytest.raises(ValueError, match="trial indices"):
+            engine.trial_streams(7, trials, engine.NOISE)
 
     def test_rows_match_the_pairwise_draw(self):
         # each row is drawn in place as interleaved (re, im) normals: bit for
@@ -261,6 +275,36 @@ class TestOneDirichletPerStaticSlot:
         np.testing.assert_array_equal(static.stats.mean, moving.stats.mean)
         np.testing.assert_array_equal(static.stats.m2, moving.stats.m2)
         np.testing.assert_array_equal(static.extras["final_estimate"], moving.extras["final_estimate"])
+
+
+class TestLsStaticSteering:
+    def test_static_equals_zero_velocity(self, monkeypatch):
+        # a static truth's steering vectors are built once per chunk, a moving
+        # truth's every slot.  Static LS averages each codebook column with
+        # its sweep value; without noise and over one probe cycle that average
+        # is the value itself, so the two paths agree bit for bit
+        calls = []
+        original = engine.steering_vector
+
+        def counting(cfg, x):
+            calls.append(np.shape(x))
+            return original(cfg, x)
+
+        monkeypatch.setattr(engine, "steering_vector", counting)
+        theta0 = 0.4
+        m = CFG8.num_antennas
+        runs, counts = [], []
+        for model in (dynamics.Static(float(np.sin(theta0))), dynamics.FixedVelocity(0.0, theta0=theta0)):
+            calls.clear()
+            runs.append(run_chunk(base_setup(algorithm="ls", model=model, no_noise=True, n_slots=m), 0, 6))
+            counts.append(len(calls))
+        assert counts == [1, m]
+        static, moving = runs
+        np.testing.assert_array_equal(static.stats.mean, moving.stats.mean)
+        np.testing.assert_array_equal(static.stats.m2, moving.stats.m2)
+        for key, value in static.extras.items():
+            assert moving.extras[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(moving.extras[key], value, err_msg=key)
 
 
 class TestChunkMemory:

@@ -1,10 +1,13 @@
+import json
 import math
 import multiprocessing
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import beamtrack
 from beamtrack import dynamics, harness
 from beamtrack.arrays import ArrayConfig, conjugate_beamformer
 from beamtrack.cli import main as cli_main
@@ -123,6 +126,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="omega_tol"):
             ExperimentSpec(kind="max-velocity-table", omega_hi=0.3, omega_tol=1e-20)
         ExperimentSpec(kind="max-velocity-table", omega_hi=0.3, omega_tol=math.ulp(0.3))
+
+    def test_n_trials_fit_one_seed_word(self):
+        # trial t's seed holds t as one 32-bit word, so trials end at 2**32 - 1
+        with pytest.raises(ConfigError, match="n_trials"):
+            ExperimentSpec(kind="static-convergence", n_trials=2**32 + 1)
+        ExperimentSpec(kind="static-convergence", n_trials=2**32)
 
 
 def assert_same_csvs_across_workers(spec, tmp_path, worker_counts):
@@ -460,6 +469,26 @@ class TestCsvSchema:
         names = set(os.listdir(tmp_path))
         assert {"summary.csv", "metadata.json", "crlb_overlay.csv"} <= names
         assert any(n.startswith("recursive_") for n in names)
+
+
+class TestMetadata:
+    def test_provenance_recorded_and_repeatable(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="static-convergence", m_data=8, n_slots=5, n_trials=130, seed=4, algorithms=("recursive", "cs"),
+        )
+        for run in ("a", "b"):
+            run_experiment(spec, out_dir=str(tmp_path / run), workers=2)
+        text = (tmp_path / "a" / "metadata.json").read_text()
+        assert (tmp_path / "b" / "metadata.json").read_text() == text
+        meta = json.loads(text)
+        assert meta["workers"] == 2
+        assert meta["versions"] == {
+            "beamtrack": beamtrack.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        assert meta["chunks"] == {"recursive": [[0, 130]], "cs": [[0, 128], [128, 130]]}
+        assert meta["spec"]["seed"] == 4
 
 
 class TestAggregation:
