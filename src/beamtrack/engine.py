@@ -26,9 +26,10 @@ static slot (two per slot on a moving trajectory).
 The compressed-sensing sounder keeps per trial a statistic of size M in place
 of its 1024-atom correlation: the probe-weighted sum of its soundings and the
 summed probe autocorrelations (see :class:`CsScorer`), from which every slot
-scores the whole grid with two matrix products.  On a moving trajectory the
-terms of the last M/2 soundings sit in a ring buffer and are summed afresh
-each slot, so no term is ever subtracted; a static run keeps running sums.
+scores the whole grid with one real matrix product.  On a moving trajectory
+the terms of the last M/2 soundings sit in a ring buffer and are summed
+afresh each slot, so no term is ever subtracted; a static run keeps running
+sums.
 
 Every kernel reads slot i's true spatial frequency as ``xs[..., i]``: a
 (T, n) broadcast view of the initial x in static and uniform-x runs, the
@@ -135,38 +136,40 @@ class CsScorer:
     * c_d = sum_s sum_k alpha_s[k+d]*conj(alpha_s[k]) for lags d = 1..M-1,
       shape (T, M-1): Gaussian integers, so their sums are exact.
 
-    An atom g of A = [exp(-j*phi*m*g)] then has corr = z @ conj(A) and
-    norm2 = sum_s |alpha_s^H A|^2 = M*count + 2*Re sum_d c_d*exp(j*phi*d*g).
-    |corr|^2 and norm2 are both M times their values for the normalized
-    probes, so the score |corr|^2/norm2 is theirs.  Trials are scored
-    ``_CS_BLOCK`` at a time into buffers allocated once, so the temporaries
-    stay in cache and no slot pays for fresh pages.
+    An atom g of A = [exp(-j*phi*m*g)] has norm2 = sum_s |alpha_s^H A|^2 =
+    M*count + 2*Re sum_d c_d*exp(j*phi*d*g), and corr = z @ conj(A) has
+    |corr|^2 = r_0 + 2*Re sum_d r_d*exp(j*phi*d*g), with r_0 = sum_k |z_k|^2
+    and r_d the lag sums of z.  Both are M times their values for the
+    normalized probes, so the score |corr|^2/norm2 is theirs.  One real
+    (2B, 2M-1) @ (2M-1, G) product scores B trials, rows (r_0, r_d) over rows
+    (M*count, c_d).  |corr|^2 rounds to about eps*(r_0 + 2*sum_d |r_d|), the
+    cancellation norm2 has in c_d, so near a null of corr a score can round
+    slightly below 0.  Trials are scored ``_CS_BLOCK`` at a time into buffers
+    allocated once, so the temporaries stay in cache and no slot pays for
+    fresh pages.
     """
 
     def __init__(self, cfg: ArrayConfig, grid: np.ndarray):
         self.grid = grid
         self.m = cfg.num_antennas
-        # C order, as the (B, M) @ (M, G) scoring product reads it: with the
-        # transposed view a full sinusoid-all-algos run peaked 0.1-0.2 MB higher
-        self.conj_atoms = np.conjugate(steering_vector(cfg, grid).T, order="C")
-        # rows 2(d-1), 2(d-1)+1: 2*cos and -2*sin of phi*d*g, the real form of
-        # 2*Re(c_d*exp(j*phi*d*g)) against c viewed as interleaved (re, im)
+        # row 0 ones, rows 2d-1, 2d 2*cos and -2*sin of phi*d*g: the real form
+        # of 2*Re(c_d*exp(j*phi*d*g)) against c viewed as interleaved (re, im)
         lag_phase = cfg.phase_factor * np.outer(np.arange(1, self.m), grid)
-        self.lag_basis = np.empty((2 * (self.m - 1), grid.size))
-        self.lag_basis[0::2] = 2.0 * np.cos(lag_phase)
-        self.lag_basis[1::2] = -2.0 * np.sin(lag_phase)
+        self.basis = np.empty((2 * self.m - 1, grid.size))
+        self.basis[0] = 1.0
+        self.basis[1::2] = 2.0 * np.cos(lag_phase)
+        self.basis[2::2] = -2.0 * np.sin(lag_phase)
         # antenna pairs (k + d, k) grouped by lag d, and each group's start
-        lags = np.repeat(np.arange(1, self.m), np.arange(self.m - 1, 0, -1))
         self._pair_hi = np.concatenate([np.arange(d, self.m) for d in range(1, self.m)])
-        self._pair_lo = self._pair_hi - lags
+        self._pair_lo = self._pair_hi - np.repeat(np.arange(1, self.m), np.arange(self.m - 1, 0, -1))
         self._lag_start = np.concatenate(([0], np.cumsum(np.arange(self.m - 1, 1, -1))))
-        self._corr = np.empty((_CS_BLOCK, grid.size), dtype=complex)
-        self._norm2 = np.empty((_CS_BLOCK, grid.size))
-        self._score = np.empty((_CS_BLOCK, grid.size))
+        # numerator rows [:B] over normaliser rows [B:2B], and their scores
+        self._coef = np.empty((2 * _CS_BLOCK, 2 * self.m - 1))
+        self._out = np.empty((2 * _CS_BLOCK, grid.size))
 
-    def autocorrelation(self, alpha: np.ndarray) -> np.ndarray:
-        """(T, M-1) lag sums c_d of one sounding's (T, M) probes."""
-        pairs = alpha[:, self._pair_hi] * alpha[:, self._pair_lo].conj()
+    def autocorrelation(self, rows: np.ndarray) -> np.ndarray:
+        """(T, M-1) lag sums sum_k rows[:, k+d]*conj(rows[:, k]) of any (T, M) rows (probes or z)."""
+        pairs = rows[:, self._pair_hi] * rows[:, self._pair_lo].conj()
         return np.add.reduceat(pairs, self._lag_start, axis=1)
 
     def scores(self, z: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
@@ -177,17 +180,14 @@ class CsScorer:
         of an atom that every sounding nearly misses.
         """
         b = z.shape[0]
-        corr, norm2, score = self._corr[:b], self._norm2[:b], self._score[:b]
-        np.matmul(z, self.conj_atoms, out=corr)
-        np.matmul(c.view(np.float64), self.lag_basis, out=norm2)
-        offset = self.m * count
-        norm2 += offset
-        np.maximum(norm2, 1e-12 * offset, out=norm2)
-        parts = corr.view(np.float64)
-        np.multiply(parts, parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=score)
-        np.divide(score, norm2, out=score)
-        return score
+        coef, out = self._coef[: 2 * b], self._out[: 2 * b]
+        np.einsum("ij,ij->i", z.view(np.float64), z.view(np.float64), out=coef[:b, 0])
+        coef[:b, 1:] = self.autocorrelation(z).view(np.float64)
+        coef[b:, 0] = offset = self.m * count
+        coef[b:, 1:] = c.view(np.float64)
+        np.matmul(coef, self.basis, out=out)
+        np.maximum(out[b:], 1e-12 * offset, out=out[b:])
+        return np.divide(out[:b], out[b:], out=out[:b])
 
     def pick(self, z: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
         """Best atom of every trial (row of z and c)."""

@@ -363,9 +363,20 @@ def _reduce_chunks(results: list[ChunkResult]):
     return stats.series(), extras
 
 
+# run_chunk's per-trial extras that metadata.json sums per algorithm under "health"
+HEALTH_COUNTERS = ("init_in_mainlobe", "excursion", "degenerate_slots")
+
+
 def _wait(got):
     """The (MetricSeries, extras) pair of a ``simulate`` call, once its chunks are done."""
     return got() if callable(got) else got
+
+
+def _health(extras) -> dict:
+    """An algorithm's health counters from its per-trial extras: the trials
+    whose stage-1 sweep landed in the mainlobe, the trials that made an
+    excursion, and the angular tracker's degenerate slots summed over trials."""
+    return {name: int(np.sum(extras[name])) for name in HEALTH_COUNTERS}
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +411,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     ``out_dir`` is given, per-metric CSV series, a summary CSV, and
     ``metadata.json`` are written there.  The metadata echoes the resolved
     spec and records the run's provenance: the beamtrack, numpy and Python
-    versions, ``workers`` and each algorithm's chunk bounds.  It holds no
-    time, so a spec, worker count and install always write the same bytes.
+    versions, ``workers`` and each algorithm's chunk bounds.  A static or
+    dynamic run also records each algorithm's ``health`` counters (see
+    ``HEALTH_COUNTERS``).  It holds no time, so a spec, worker count and
+    install always write the same bytes.
 
     With ``workers > 1`` and more than one chunk queued at once, the run opens
     one process pool of at most ``min(workers, chunks)`` processes for all of
@@ -439,8 +452,10 @@ def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
         ("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho)),
         ("crlb_n_mse_h_limit", "theory", crlb_h_limit),
     ]
+    health = {}
     for algo, got in zip(spec.algorithms, queued):
-        s, _ = _wait(got)
+        s, per_trial = _wait(got)
+        health[algo] = _health(per_trial)
         series[algo] = s
         summary.append(("mse_h_final", algo, float(s.mse_h[-1])))
         summary.append(("n_mse_h_final", algo, float(spec.n_slots * s.mse_h[-1])))
@@ -454,7 +469,7 @@ def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
             "min_crlb_h": crlb_h_limit / np.arange(1, spec.n_slots + 1),
         }
     }
-    return ExperimentResult(spec=spec, series=series, summary=summary, extras=extras)
+    return ExperimentResult(spec=spec, series=series, summary=summary, extras=extras, metadata={"health": health})
 
 
 def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
@@ -463,15 +478,17 @@ def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
     series = {}
     cap = capacity(spec.cfg_data, spec.rho)
     summary = [("capacity_bits", "theory", cap)]
+    health = {}
     for algo, got in zip(spec.algorithms, queued):
-        s, _ = _wait(got)
+        s, per_trial = _wait(got)
+        health[algo] = _health(per_trial)
         series[algo] = s
         mean_rate = float(np.mean(s.rate))
         summary.append(("mean_rate", algo, mean_rate))
         summary.append(("rate_fraction", algo, mean_rate / cap))
         if not math.isnan(s.aoa_error_deg[-1]):
             summary.append(("mean_aoa_error_deg", algo, float(np.nanmean(s.aoa_error_deg))))
-    return ExperimentResult(spec=spec, series=series, summary=summary)
+    return ExperimentResult(spec=spec, series=series, summary=summary, metadata={"health": health})
 
 
 def _fixed_velocity(spec: ExperimentSpec, algo: str, omega: float, pool):

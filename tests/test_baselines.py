@@ -119,10 +119,12 @@ class TestCompressedSensing:
     @pytest.mark.parametrize("m", [8, 16])
     def test_one_sounding_scores_are_flat(self, m):
         # one sounding scores every atom |y|^2 (Cauchy-Schwarz with equality),
-        # so the slot-1 pick is a tie broken by rounding.  corr and norm2 round
-        # independently, and norm2 = M + 2*Re sum_d c_d*exp(j*phi*d*g) loses
-        # about eps*(M + 2*sum_d |c_d|) to cancellation: flat to 1e-12 where
-        # the probe covers the atom, within that error where it nearly misses
+        # so the slot-1 pick is a tie broken by rounding.  |corr|^2 and norm2
+        # are the same lag polynomial, scaled by |y|^2 in |corr|^2, and round
+        # as separate rows of one product: norm2 = M + 2*Re sum_d
+        # c_d*exp(j*phi*d*g) loses about eps*(M + 2*sum_d |c_d|) to
+        # cancellation, so the scores are flat to 1e-12 where the probe covers
+        # the atom, within that error where it nearly misses
         rng = np.random.default_rng(m)
         alpha = engine._CS_ALPHABET[rng.integers(0, 4, size=(engine._CS_BLOCK, m))]
         y = rng.standard_normal(engine._CS_BLOCK) + 1j * rng.standard_normal(engine._CS_BLOCK)
@@ -134,6 +136,51 @@ class TestCompressedSensing:
         assert rel[norm2 >= m / 4].max() <= 1e-12
         cancellation = np.finfo(float).eps * (m + 2.0 * np.abs(c).sum(axis=1))[:, None] / norm2
         assert np.all(rel <= 64 * cancellation)
+
+    @pytest.mark.parametrize("m", [2, 8, 16])
+    def test_scores_match_the_definition(self, m):
+        # scores of S soundings against |z @ conj(A)|^2 / sum_s |alpha_s^H A|^2
+        # from explicit atoms A, for S = 2..M/2, over 6144 rows per M
+        grid = cs_dictionary()
+        scorer = engine.CsScorer(ArrayConfig(m, 0.5), grid)
+        atoms = np.exp(-1j * math.pi * np.outer(np.arange(m), grid))
+        eps = np.finfo(float).eps
+        counts = range(2, max(2, m // 2) + 1)
+        rows = -(-6144 // len(counts) // engine._CS_BLOCK) * engine._CS_BLOCK
+        checked = 0
+        for count in counts:
+            rng = np.random.default_rng([m, count])
+            alpha = engine._CS_ALPHABET[rng.integers(0, 4, size=(count, rows, m))]
+            y = rng.standard_normal((count, rows)) + 1j * rng.standard_normal((count, rows))
+            z = np.einsum("st,stm->tm", y, alpha)
+            c = sum(scorer.autocorrelation(a) for a in alpha)
+            for lo in range(0, rows, engine._CS_BLOCK):
+                blk = slice(lo, lo + engine._CS_BLOCK)
+                got = scorer.scores(z[blk], c[blk], count)
+                norm2 = sum(np.abs(a[blk].conj() @ atoms) ** 2 for a in alpha)
+                want = np.abs(z[blk] @ atoms.conj()) ** 2 / norm2
+                # |corr|^2 = r_0 + 2*Re sum_d r_d*exp(j*phi*d*g) rounds to about
+                # eps*(r_0 + 2*sum_d |r_d|), absolute, so near a null of corr
+                # the score keeps only that; it is not clamped at 0
+                r = scorer.autocorrelation(z[blk])
+                num_err = eps * (np.sum(np.abs(z[blk]) ** 2, axis=1) + 2.0 * np.abs(r).sum(axis=1))
+                covered = norm2 >= m * count / 4
+                err = np.abs(got - want)
+                assert np.all((err <= 1e-12 * want + 64 * num_err[:, None] / norm2)[covered])
+                # the pick is the direct pick wherever the soundings cover it
+                # and it wins by more than rounding: equal probes up to a
+                # phase score flat (a quarter of the rows at M = 2), and an
+                # uncovered pick sits at a near-null of norm2
+                best = np.argmax(want, axis=1)
+                runner_up = np.partition(want, -2, axis=1)[:, -2]
+                clear = covered[np.arange(best.size), best] & (want.max(axis=1) - runner_up > 1e-9 * runner_up)
+                np.testing.assert_array_equal(np.argmax(got, axis=1)[clear], best[clear])
+                checked += clear.sum()
+        assert checked >= 4096
+        # an all-zero statistic scores exactly 0 everywhere and picks atom 0
+        zero = np.zeros((engine._CS_BLOCK, m), dtype=complex)
+        assert np.all(scorer.scores(zero, c[: engine._CS_BLOCK], counts[-1]) == 0.0)
+        np.testing.assert_array_equal(scorer.pick(zero, c[: engine._CS_BLOCK], counts[-1]), grid[0])
 
     def test_chunk_memory_bounded(self):
         # the 1024-atom grid sums and their 8-slot window took 38.9 MB here

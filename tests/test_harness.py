@@ -490,6 +490,36 @@ class TestMetadata:
         assert meta["chunks"] == {"recursive": [[0, 130]], "cs": [[0, 128], [128, 130]]}
         assert meta["spec"]["seed"] == 4
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # near endfire at 0 dB: about half the sweeps miss the mainlobe and
+            # the angular tracker's gain degenerates in over a thousand slots
+            ExperimentSpec(
+                kind="static-convergence", m_data=8, x=0.999, snr_db=0.0, n_slots=40, n_trials=150,
+                seed=3, algorithms=("recursive", "angular", "cs"),
+            ),
+            ExperimentSpec(
+                kind="dynamic-trajectory", m_data=8, n_slots=30, n_trials=150, seed=6,
+                algorithms=ALGORITHMS, sinusoid_period=50,
+            ),
+        ],
+        ids=["static", "dynamic"],
+    )
+    def test_health_counters_sum_the_chunk_extras(self, spec, tmp_path):
+        model = spec.build_model()
+        expected = {}
+        for algo in spec.algorithms:
+            _, extras = harness.simulate(spec, algo, model, spec.n_trials, spec.n_slots)
+            expected[algo] = {name: int(extras[name].sum()) for name in harness.HEALTH_COUNTERS}
+        for w in (1, 2):
+            run_experiment(spec, out_dir=str(tmp_path / f"w{w}"), workers=w)
+            meta = json.loads((tmp_path / f"w{w}" / "metadata.json").read_text())
+            assert meta["health"] == expected, w
+        if spec.kind == "static-convergence":
+            assert 0 < expected["angular"]["init_in_mainlobe"] < spec.n_trials
+            assert expected["angular"]["degenerate_slots"] > 0
+
 
 class TestAggregation:
     def test_mean_and_stderr_match_manual_trials(self):
