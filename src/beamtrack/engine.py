@@ -14,7 +14,13 @@ hundred trials advances one slot in a handful of elementwise operations.
 Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
 records the returned estimate's metrics, statistics and excursions.  Least
-squares returns None and writes its own channel metrics.
+squares returns None and writes its own channel metrics; its data beam is
+the co-phased beam of its channel estimate, h/(|h|*sqrt(M))
+(:func:`cophased_beam`), formed without a complex exponential.  The
+steering vectors and Dirichlet kernels of every slot take their sines and
+cosines from ``np.tan`` (see :mod:`beamtrack.arrays` for why); the angular
+and Kalman steps still call ``np.sin`` and ``np.cos`` of their angle
+estimates, and the Kalman step ``weighted_dirichlet``.
 
 The two tracking kernels and the per-slot metrics share one Dirichlet kernel
 in real form (:func:`~beamtrack.arrays.dirichlet_parts`), written into
@@ -341,6 +347,17 @@ def draw_noise(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarr
     return out
 
 
+def cophased_beam(h: np.ndarray) -> np.ndarray:
+    """The analog beam exp(1j*angle(h))/sqrt(M) matched to the channel
+    estimates in the rows of ``h``, formed as h/(|h|*sqrt(M)) without a
+    complex exponential; an entry with h = 0 gets weight 1/sqrt(M), as
+    angle(0) = 0 gives."""
+    root_m = math.sqrt(h.shape[-1])
+    scale = np.abs(h)
+    scale *= root_m
+    return np.divide(h, scale, out=np.full_like(h, 1.0 / root_m), where=scale != 0)
+
+
 def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
     """Clip ``a`` to [lo, hi] in place."""
     np.minimum(a, hi, out=a)
@@ -505,7 +522,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             a_true = steering_vector(cfg, x_n) if a_static is None else a_static
             diff = h_hat - beta * a_true
             values[_MSE_H] = np.sum(diff.real**2 + diff.imag**2, axis=1)
-            w_data = np.exp(1j * np.angle(h_hat)) / math.sqrt(m)
+            w_data = cophased_beam(h_hat)
             resp_data = np.einsum("tm,tm->t", w_data.conj(), np.broadcast_to(a_true, h_hat.shape))
             values[_RATE] = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
             return None

@@ -364,7 +364,7 @@ def _reduce_chunks(results: list[ChunkResult]):
 
 
 # run_chunk's per-trial extras that metadata.json sums per algorithm under "health"
-HEALTH_COUNTERS = ("init_in_mainlobe", "excursion", "degenerate_slots")
+HEALTH_COUNTERS = ("init_in_mainlobe", "degenerate_slots")
 
 
 def _wait(got):
@@ -374,8 +374,8 @@ def _wait(got):
 
 def _health(extras) -> dict:
     """An algorithm's health counters from its per-trial extras: the trials
-    whose stage-1 sweep landed in the mainlobe, the trials that made an
-    excursion, and the angular tracker's degenerate slots summed over trials."""
+    whose stage-1 sweep landed in the mainlobe and the angular tracker's
+    degenerate slots summed over trials."""
     return {name: int(np.sum(extras[name])) for name in HEALTH_COUNTERS}
 
 
@@ -625,6 +625,16 @@ def write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join([v if isinstance(v, str) else f"{float(v):.17g}" for v in row]) + "\n")
 
 
+def _write_columns(path: str, header: str, row_format: str, *columns) -> None:
+    """``header``, then ``row_format % row`` for every row of the equal-length
+    numeric ``columns``; with each number formatted as ``%.17g`` this is the
+    bytes :func:`write_csv` writes for the same rows."""
+    rows = zip(*[np.asarray(c).tolist() for c in columns])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines([row_format % row for row in rows])
+
+
 def _spec_dict(spec: ExperimentSpec) -> dict:
     d = dataclasses.asdict(spec)
     for key in ("pilot", "beta"):
@@ -635,17 +645,21 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
 def write_result(result: ExperimentResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for algo, series in result.series.items():
+        n_trials = f"{float(series.n_trials):.17g}"
         for metric in METRIC_NAMES:
-            rows = (
-                (slot, metric, mean, err, series.n_trials)
-                for slot, mean, err in zip(series.slots, series.metric(metric), series.stderr[metric])
+            _write_columns(
+                os.path.join(out_dir, f"{algo}_{metric}.csv"),
+                "slot,metric,mean,stderr,n_trials",
+                f"%.17g,{metric},%.17g,%.17g,{n_trials}\n",
+                series.slots, series.metric(metric), series.stderr[metric],
             )
-            write_csv(os.path.join(out_dir, f"{algo}_{metric}.csv"), "slot,metric,mean,stderr,n_trials", rows)
     write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, result.summary)
     overlay = result.extras.get("crlb_overlay")
     if overlay is not None:
-        rows = zip(overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"])
-        write_csv(os.path.join(out_dir, "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", rows)
+        _write_columns(
+            os.path.join(out_dir, "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", "%.17g,%.17g,%.17g\n",
+            overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"],
+        )
     table = result.extras.get("sweep_table")
     if table is not None:
         write_csv(os.path.join(out_dir, "sweep.csv"), "omega,algorithm,mean_rate,mean_mse_h", table)

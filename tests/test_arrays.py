@@ -19,6 +19,7 @@ from beamtrack.arrays import (
     steering_vector,
     weighted_dirichlet,
 )
+from beamtrack.engine import cophased_beam
 from reference import (
     ChannelState,
     SnrConfig,
@@ -31,6 +32,15 @@ from reference import (
 
 PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
+EPS = np.finfo(float).eps
+
+
+def direct_sum(psi, m):
+    """Re and Im of D_m(psi) = sum_k exp(1j*k*psi), each summed exactly
+    (math.fsum) from libm's cos and sin of k*psi."""
+    re = np.array([math.fsum(math.cos(k * p) for k in range(m)) for p in psi])
+    im = np.array([math.fsum(math.sin(k * p) for k in range(m)) for p in psi])
+    return re, im
 
 
 class TestSteeringVector:
@@ -72,6 +82,13 @@ class TestSteeringVector:
         x[3] = bad
         with pytest.raises(ValueError):
             steering_vector(ArrayConfig(4), x)
+
+    @pytest.mark.parametrize("m", [2, 8, 16, 64])
+    def test_matches_the_complex_exponential(self, m):
+        cfg = ArrayConfig(m, 0.5)
+        x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(m).uniform(-1.0, 1.0, 500)])
+        theta = cfg.phase_factor * np.multiply.outer(x, cfg.antenna_indices)
+        assert np.abs(steering_vector(cfg, x) - np.exp(-1j * theta)).max() <= 2 * EPS
 
     def test_half_wavelength_alias(self):
         # at d = lambda/2, directions x and x - 2 produce identical vectors
@@ -196,12 +213,85 @@ class TestDirichletParts:
         assert np.all(np.abs(parts[1] - d.imag) <= tol)
         assert np.all(np.abs(parts[2] - (d.real**2 + d.imag**2)) <= 2 * m * tol)
 
+    # 99.9th-percentile errors (Re D, Im D, |D|^2) of the form
+    # exp(j*(M-1)*h)*sin(M*h)/sin(h) with libm's sin and cos, on the dense
+    # grid below against direct_sum; M = 12 and 33 include its grating-lobe
+    # loss next to u = +-2
+    SINE_FORM_P999 = {
+        2: (4.44e-16, 1.11e-16, 1.78e-15),
+        8: (7.66e-15, 1.07e-14, 4.26e-14),
+        12: (2.79e-13, 4.64e-14, 6.74e-12),
+        16: (3.38e-14, 4.80e-14, 2.27e-13),
+        33: (7.85e-13, 1.64e-13, 5.32e-11),
+    }
+
+    @pytest.mark.parametrize("m", [2, 8, 12, 16, 33])
+    def test_dense_grid_as_accurate_as_the_sine_form(self, m):
+        # every point within twice the sine form's 99.9th-percentile error
+        # plus four roundings of a value of size M (M^2 for |D|^2)
+        cfg = ArrayConfig(m, 0.5)
+        tiny = np.geomspace(1e-300, 1e-2, 150)
+        u = np.concatenate([np.linspace(-2.0, 2.0, 4001), tiny, -tiny])
+        re, im = direct_sum(cfg.phase_factor * u, m)
+        parts = dirichlet_parts(cfg, u, 0.0, np.empty((5, u.size)))
+        refs = (re, im, re**2 + im**2)
+        for row, ref, p999, scale in zip(parts, refs, self.SINE_FORM_P999[m], (m, m, m * m)):
+            assert np.abs(row - ref).max() <= 2 * p999 + 4 * EPS * scale
+
+    @pytest.mark.parametrize("m", [12, 16, 33])
+    def test_grating_lobes_match_the_direct_sum(self, m):
+        # psi within 1e-7 of +-2*pi: the reduced angle keeps full precision
+        cfg = ArrayConfig(m, 0.5)
+        u = np.array([2 - 7e-10, 2 - 3e-9, 2 - 1e-7, -2 + 5e-10])
+        re, im = direct_sum(cfg.phase_factor * u, m)
+        parts = dirichlet_parts(cfg, u, 0.0, np.empty((5, u.size)))
+        assert np.abs(parts[0] - re).max() <= 1e-12
+        assert np.abs(parts[1] - im).max() <= 1e-12
+
     def test_im_only_gives_the_same_im(self):
         cfg = ArrayConfig(8, 0.5)
         v = np.linspace(-1, 1, 33)
         full = dirichlet_parts(cfg, v, 0.2, np.empty((5, v.size)))
         part = dirichlet_parts(cfg, v, 0.2, np.empty((5, v.size)), im_only=True)
         np.testing.assert_array_equal(part[1], full[1])
+
+
+class TestVectorPath:
+    def test_kernels_call_no_sin_cos_or_exp(self, monkeypatch):
+        # the per-slot kernels take every sine and cosine from np.tan, which
+        # numpy vectorises; np.sin, np.cos and complex np.exp run scalar loops
+        def scalar_loop(*args, **kwargs):
+            raise AssertionError("a per-slot kernel called np.sin, np.cos or np.exp")
+
+        for name in ("sin", "cos", "exp"):
+            monkeypatch.setattr(np, name, scalar_loop)
+        cfg = ArrayConfig(8, 0.5)
+        v = np.linspace(-1.0, 1.0, 9)  # holds v = x = 0.25: the limit branch
+        for im_only in (False, True):
+            dirichlet_parts(cfg, v, 0.25, np.empty((5, v.size)), im_only=im_only)
+        dirichlet(v, 8)
+        steering_vector(cfg, v)
+        cophased_beam(steering_vector(cfg, v))
+
+
+class TestCophasedBeam:
+    """Least squares' data beam exp(1j*angle(h))/sqrt(M), formed as h/(|h|*sqrt(M))."""
+
+    @pytest.mark.parametrize("m", [2, 8, 16])
+    def test_entries_have_modulus_one_over_sqrt_m_and_the_phase_of_h(self, m):
+        rng = np.random.default_rng(m)
+        h = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
+        h *= np.geomspace(1e-150, 1e150, 64)[:, None]
+        w = cophased_beam(h)
+        np.testing.assert_allclose(np.abs(w), 1 / math.sqrt(m), rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(w, np.exp(1j * np.angle(h)) / math.sqrt(m), rtol=0, atol=4 * EPS)
+
+    def test_zero_entries_get_weight_one_over_sqrt_m(self):
+        h = np.array([[0j, 1 + 1j, 0j, -2.0], [0j, 0j, 0j, 0j]])
+        w = cophased_beam(h)
+        assert w[0, 0] == w[0, 2] == 0.5
+        np.testing.assert_array_equal(w[1], np.full(4, 0.5))
+        np.testing.assert_allclose(w[0, [1, 3]], [(1 + 1j) / (2 * math.sqrt(2)), -0.5], rtol=0, atol=EPS)
 
 
 class TestObserve:

@@ -456,6 +456,35 @@ class TestCsvSchema:
         assert lines[0] == "slot,metric,mean,stderr,n_trials"
         assert lines[1] == "1,mse_h,0.5,0.10000000000000001,7"
 
+    def test_column_writer_matches_the_row_writer(self, tmp_path):
+        # per-slot and overlay CSVs are written a column at a time; their
+        # bytes equal write_csv's for the same rows, special values included
+        values = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1 / 3, 2.5e17, 7.0])
+        slots = np.arange(1, values.size + 1)
+        series = MetricSeries(
+            slots=slots,
+            mse_h=values,
+            mse_x=values[::-1].copy(),
+            aoa_error_deg=-values,
+            rate=np.roll(values, 3),
+            n_trials=12345,
+            stderr={name: np.roll(values, k) for k, name in enumerate(METRIC_NAMES)},
+        )
+        overlay = {"slots": slots, "min_crlb_x": values, "min_crlb_h": values[::-1].copy()}
+        spec = ExperimentSpec(kind="static-convergence")
+        result = ExperimentResult(spec=spec, series={"kf": series}, summary=[], extras={"crlb_overlay": overlay})
+        write_result(result, str(tmp_path / "columns"))
+        rows_dir = tmp_path / "rows"
+        rows_dir.mkdir()
+        for metric in METRIC_NAMES:
+            columns = zip(slots, series.metric(metric), series.stderr[metric])
+            rows = [(t, metric, a, b, series.n_trials) for t, a, b in columns]
+            write_csv(str(rows_dir / f"kf_{metric}.csv"), "slot,metric,mean,stderr,n_trials", rows)
+        rows = zip(overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"])
+        write_csv(str(rows_dir / "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", rows)
+        for path in rows_dir.iterdir():
+            assert (tmp_path / "columns" / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_floats_serialized_at_full_precision(self, tmp_path):
         value = 1 / 3
         path = tmp_path / "sum.csv"
