@@ -38,11 +38,17 @@ def lipschitz_constant(cfg: ArrayConfig) -> float:
     return math.sqrt(m) * (m - 1) * math.pi * cfg.spacing_ratio
 
 
+def mainlobe_half_width(cfg: ArrayConfig) -> float:
+    """Half-width lambda/(M*d) in x of the matched beam's mainlobe: the
+    distance from its peak to its first null."""
+    return 1.0 / (cfg.num_antennas * cfg.spacing_ratio)
+
+
 def mainlobe(cfg: ArrayConfig, x: float) -> tuple[float, float]:
     """Basin (x - lambda/(M*d), x + lambda/(M*d)) intersected with [-1, 1]."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x!r}")
-    half = 1.0 / (cfg.num_antennas * cfg.spacing_ratio)
+    half = mainlobe_half_width(cfg)
     return max(x - half, -1.0), min(x + half, 1.0)
 
 
@@ -200,8 +206,7 @@ def convergence_bound(
     if not rho > 0 or not alpha > 0:
         raise ValueError("rho and alpha must be > 0")
     ell = lipschitz_constant(cfg)
-    m = cfg.num_antennas
-    sqrt_m = math.sqrt(m)
+    sqrt_m = math.sqrt(cfg.num_antennas)
 
     lo, hi = mainlobe(cfg, x)
     if not lo < x0_hat < hi:
@@ -222,7 +227,7 @@ def convergence_bound(
     c_e = math.exp(ell * (t_escape + a1))
 
     f0 = abs(f_gain(cfg, x0_hat, x))
-    alpha_max = (n0 + 1.0) * (abs(x - x0_hat) + 1.0 / (m * cfg.spacing_ratio)) / f0
+    alpha_max = (n0 + 1.0) * (abs(x - x0_hat) + mainlobe_half_width(cfg)) / f0
 
     details = {
         "L": ell,

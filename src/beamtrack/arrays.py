@@ -23,12 +23,13 @@ Conventions used throughout the package:
 The simulator's per-slot kernels compute no sine, cosine or complex
 exponential: :func:`steering_vector` builds exp(-j*y) from t = tan(y/2) as
 ((1 - t^2) - 2jt)/(1 + t^2), and the Dirichlet core behind
-:func:`dirichlet_parts` and :func:`dirichlet` builds D_M(psi) from
-tan(psi/2) and tan(M*psi/2).  numpy runs ``np.tan`` on a SIMD loop where the
-CPU has one (AVX-512 on x86-64: about 3 ns per float64, against 7-14 ns for
-``np.sin`` and ``np.cos`` and 38 ns for complex ``np.exp``, which run the C
-library's scalar loops).  Without that loop all of them are scalar, and the
-tangent forms cost about what the sine and cosine forms cost.
+:func:`dirichlet_parts`, :func:`dirichlet` and :func:`weighted_dirichlet`
+builds D_M(psi) and the index-weighted kernel G_M(psi) from tan(psi/2) and
+tan(M*psi/2).  numpy runs ``np.tan`` on a SIMD loop where the CPU has one
+(AVX-512 on x86-64: about 3 ns per float64, against 7-14 ns for ``np.sin``
+and ``np.cos`` and 38 ns for complex ``np.exp``, which run the C library's
+scalar loops).  Without that loop all of them are scalar, and the tangent
+forms cost about what the sine and cosine forms cost.
 """
 
 from __future__ import annotations
@@ -137,29 +138,27 @@ def array_response(w: BeamformingVector, cfg: ArrayConfig, x: float) -> complex:
 
 
 def dirichlet(psi, m: int):
-    """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with removable singularities
-    (see :func:`dirichlet_parts`); same shape as ``psi``."""
-    psi = np.asarray(psi, dtype=float)
-    out = np.empty((5, psi.size))
-    np.multiply(psi.reshape(-1), 0.5, out=out[3])
-    d = np.empty(psi.shape, dtype=complex)
-    d.real, d.imag = _dirichlet_rows(m, out)[:2].reshape((2,) + psi.shape)
-    return d
+    """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with the limit m at
+    psi = 2*pi*k (see :func:`_dirichlet_rows`); same shape as ``psi``."""
+    return _kernel(psi, m, 5, 0)
 
 
 def weighted_dirichlet(psi, m: int):
-    """G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi), the index-weighted kernel."""
+    """G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi) = -j*dD_m/dpsi, the
+    index-weighted kernel, with the limit m*(m-1)/2 at psi = 2*pi*k (see
+    :func:`_dirichlet_rows`); same shape as ``psi``."""
+    return _kernel(psi, m, 7, 5)
+
+
+def _kernel(psi, m: int, n_rows: int, row: int):
+    """Rows ``row`` and ``row + 1`` of the ``n_rows``-row Dirichlet core of
+    ``psi`` as one complex array shaped like ``psi``."""
     psi = np.asarray(psi, dtype=float)
-    z = np.exp(1j * psi)
-    one_minus = 1.0 - z
-    small = np.abs(one_minus) < 1e-6
-    safe = np.where(small, 1.0, one_minus)
-    closed = z * (1.0 - m * z ** (m - 1) + (m - 1) * z**m) / safe**2
-    if np.any(small):
-        k = np.arange(m)
-        direct = (k * np.exp(1j * np.multiply.outer(psi, k))).sum(axis=-1)
-        closed = np.where(small, direct, closed)
-    return closed
+    out = np.empty((n_rows, psi.size))
+    np.multiply(psi.reshape(-1), 0.5, out=out[3])
+    k = np.empty(psi.shape, dtype=complex)
+    k.real, k.imag = _dirichlet_rows(m, out)[row : row + 2].reshape((2,) + psi.shape)
+    return k
 
 
 def complex_noise(rng: np.random.Generator, sigma: float) -> complex:
@@ -230,8 +229,24 @@ def _dirichlet_rows(m: int, out: np.ndarray, im_only: bool = False) -> np.ndarra
           = q*((1 + T*T_1) + j*(T - T_1)),  q = T/(T_1*(1 + T^2)),
 
     two tangents (see the module docstring) and no sine or cosine.
+
+    With seven rows in ``out``, rows 5-6 receive Re G and Im G of the
+    index-weighted kernel G_m(psi) = -j*dD/dpsi in place of |D|^2, and rows
+    2-4 are scratch.  D = exp(j*(m-1)*delta)*S with S = sin(m*delta)/sin(delta)
+    and d/dpsi = (1/2)*d/d(delta) give
+
+        G = D*((m-1)/2 - (j/2)*s),  s = S'/S = m/T - 1/T_1,
+
+    which stays finite at the zeros of D, where T is small but never 0.  For
+    |T_1| < 7e-3/m, m/T - 1/T_1 cancels to about eps*m/|T_1|, so s takes
+    the first two terms of its series in T_1 = tan(delta),
+
+        s = -(m^2 - 1)/3 * T_1 * (1 + (m^2 - 4)/15 * T_1^2),
+
+    whose truncation is about m^6*T_1^5/470; the threshold balances the two
+    errors at a few eps*m^2 in G, and delta = 0 gives the limit m*(m-1)/2.
     """
-    re, im, mag2, h, q = out
+    re, im, mag2, h, q = out[:5]
     np.divide(h, math.pi, out=q)
     np.rint(q, out=q)
     q *= math.pi
@@ -251,11 +266,29 @@ def _dirichlet_rows(m: int, out: np.ndarray, im_only: bool = False) -> np.ndarra
         q[zero] = m
     np.subtract(t, t_1, out=im)
     im *= q
-    if not im_only:
-        np.multiply(t, t_1, out=re)
-        re += 1.0
-        re *= q
+    if im_only:
+        return out
+    np.multiply(t, t_1, out=re)
+    re += 1.0
+    re *= q
+    if len(out) == 5:
         np.multiply(re, re, out=mag2)
         np.multiply(im, im, out=h)
         mag2 += h
+        return out
+    half_s, g_im = out[5:]
+    small = np.abs(t_1, out=g_im) < 7e-3 / m
+    closed = ~small
+    np.divide(0.5 * m, t, out=half_s, where=closed)
+    np.divide(0.5, t_1, out=g_im, where=closed)
+    np.subtract(half_s, g_im, out=half_s, where=closed)
+    if small.any():
+        t_s = t_1[small]
+        half_s[small] = t_s * ((1 - m * m) / 6) * (1.0 + (m * m - 4) / 15 * t_s * t_s)
+    np.multiply(re, half_s, out=g_im)
+    np.multiply(im, half_s, out=t)
+    np.multiply(re, 0.5 * (m - 1), out=half_s)
+    half_s += t  # Re G
+    np.multiply(im, 0.5 * (m - 1), out=h)
+    np.subtract(h, g_im, out=g_im)
     return out

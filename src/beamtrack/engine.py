@@ -20,7 +20,7 @@ the co-phased beam of its channel estimate, h/(|h|*sqrt(M))
 steering vectors and Dirichlet kernels of every slot take their sines and
 cosines from ``np.tan`` (see :mod:`beamtrack.arrays` for why); the angular
 and Kalman steps still call ``np.sin`` and ``np.cos`` of their angle
-estimates, and the Kalman step ``weighted_dirichlet``.
+estimates.
 
 The two tracking kernels and the per-slot metrics share one Dirichlet kernel
 in real form (:func:`~beamtrack.arrays.dirichlet_parts`), written into
@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import dynamics
+from . import analysis, dynamics
 from .arrays import ArrayConfig, dirichlet, dirichlet_parts, steering_vector, weighted_dirichlet
 from .metrics import METRIC_NAMES, SlotStats, write_slot_metrics
 from .trackers import (
@@ -444,7 +444,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         x0_hat = x_true0.copy()
     else:
         x0_hat = initial_estimate(cfg, sweep_obs, setup.m0)
-    init_in_mainlobe = np.abs(x0_hat - x_true0) < 1.0 / (m * cfg.spacing_ratio)
+    init_in_mainlobe = np.abs(x0_hat - x_true0) < analysis.mainlobe_half_width(cfg)
 
     stats = SlotStats.empty(n_trials, n)
     values = np.full((len(METRIC_NAMES), n_trials), np.nan)  # one slot's metric block
@@ -477,6 +477,15 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         np.multiply(im_d, inv_sqrt_m, out=im_y)
         return np.add(im_y, w_n.imag, out=im_y)
 
+    # LS and CS read the truth's steering vectors: a static truth's are built
+    # once for the chunk, a moving truth's every slot
+    a_static = None
+    if setup.algorithm in ("ls", "cs") and not per_slot_traj:
+        a_static = steering_vector(cfg, x_true0)
+
+    def truth_vectors(x_n):
+        return steering_vector(cfg, x_n) if a_static is None else a_static
+
     if setup.algorithm == "recursive":
         v = x0_hat.copy()
 
@@ -507,8 +516,6 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         buf = pb * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
         counts = np.ones(m)
         accumulate = not per_slot_traj  # static mode averages every sweep
-        # a static truth's steering vectors, built once for the chunk
-        a_static = None if per_slot_traj else steering_vector(cfg, x_true0)
 
         def step(i, x_n, w_n):
             j = i % m
@@ -519,7 +526,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             else:
                 buf[:, j] = r_new
             h_hat = ((buf / counts) @ wt.T) / p
-            a_true = steering_vector(cfg, x_n) if a_static is None else a_static
+            a_true = truth_vectors(x_n)
             diff = h_hat - beta * a_true
             values[_MSE_H] = np.sum(diff.real**2 + diff.imag**2, axis=1)
             w_data = cophased_beam(h_hat)
@@ -539,8 +546,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         def sound(s, x_n, noise_s):
             alpha = _CS_ALPHABET[probes[:, s, :]]
             w = alpha / math.sqrt(m)
-            a_x = steering_vector(cfg, x_n)
-            y = np.einsum("tm,tm->t", w.conj(), np.broadcast_to(a_x, w.shape)) + noise_s
+            y = np.einsum("tm,tm->t", w.conj(), np.broadcast_to(truth_vectors(x_n), w.shape)) + noise_s
             z_s = y[:, None] * alpha
             c_s = scorer.autocorrelation(alpha)
             if per_slot_traj:

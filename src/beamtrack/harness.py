@@ -443,20 +443,28 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     return result
 
 
-def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
+def _run_algorithms(spec: ExperimentSpec, pool) -> tuple[dict, dict]:
+    """Each of the spec's algorithms on its trajectory, one ``simulate`` call
+    each, all queued before any is awaited: the MetricSeries and the
+    ``_health`` counters, by algorithm."""
     model = spec.build_model()
     queued = [simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool) for algo in spec.algorithms]
-    series = {}
+    series, health = {}, {}
+    for algo, got in zip(spec.algorithms, queued):
+        series[algo], per_trial = _wait(got)
+        health[algo] = _health(per_trial)
+    return series, health
+
+
+def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
+    series, health = _run_algorithms(spec, pool)
     crlb_h_limit = spec.channel_crlb_limit()
     summary = [
         ("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho)),
         ("crlb_n_mse_h_limit", "theory", crlb_h_limit),
     ]
-    health = {}
-    for algo, got in zip(spec.algorithms, queued):
-        s, per_trial = _wait(got)
-        health[algo] = _health(per_trial)
-        series[algo] = s
+    for algo in spec.algorithms:
+        s = series[algo]
         summary.append(("mse_h_final", algo, float(s.mse_h[-1])))
         summary.append(("n_mse_h_final", algo, float(spec.n_slots * s.mse_h[-1])))
         summary.append(("rate_final", algo, float(s.rate[-1])))
@@ -473,16 +481,11 @@ def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
 
 
 def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
-    model = spec.build_model()
-    queued = [simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool) for algo in spec.algorithms]
-    series = {}
+    series, health = _run_algorithms(spec, pool)
     cap = capacity(spec.cfg_data, spec.rho)
     summary = [("capacity_bits", "theory", cap)]
-    health = {}
-    for algo, got in zip(spec.algorithms, queued):
-        s, per_trial = _wait(got)
-        health[algo] = _health(per_trial)
-        series[algo] = s
+    for algo in spec.algorithms:
+        s = series[algo]
         mean_rate = float(np.mean(s.rate))
         summary.append(("mean_rate", algo, mean_rate))
         summary.append(("rate_fraction", algo, mean_rate / cap))

@@ -35,11 +35,12 @@ BETA = (1 + 1j) / math.sqrt(2)
 EPS = np.finfo(float).eps
 
 
-def direct_sum(psi, m):
-    """Re and Im of D_m(psi) = sum_k exp(1j*k*psi), each summed exactly
-    (math.fsum) from libm's cos and sin of k*psi."""
-    re = np.array([math.fsum(math.cos(k * p) for k in range(m)) for p in psi])
-    im = np.array([math.fsum(math.sin(k * p) for k in range(m)) for p in psi])
+def direct_sum(psi, m, power=0):
+    """Re and Im of D_m(psi) = sum_k exp(1j*k*psi), or with ``power=1`` of
+    G_m(psi) = sum_k k*exp(1j*k*psi), each summed exactly (math.fsum) from
+    libm's cos and sin of k*psi."""
+    re = np.array([math.fsum(k**power * math.cos(k * p) for k in range(m)) for p in psi])
+    im = np.array([math.fsum(k**power * math.sin(k * p) for k in range(m)) for p in psi])
     return re, im
 
 
@@ -186,6 +187,29 @@ class TestDirichletKernels:
             direct = (k * np.exp(1j * np.outer(psi, k))).sum(axis=1)
             np.testing.assert_allclose(weighted_dirichlet(psi, m), direct, atol=1e-6)
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 12, 16, 33, 64])
+    def test_weighted_dirichlet_matches_the_direct_sum(self, m):
+        # a dense grid, plus offsets of 1e-300 to 0.1 from psi = 0, +-2*pi and
+        # +-4*pi, densest across the core's series branch (|tan(psi/2)| < 7e-3/m)
+        offsets = np.concatenate([np.geomspace(1e-300, 1e-7, 30), np.geomspace(1e-7, 1e-1, 240)])
+        lobes = [k * math.pi + sign * offsets for k in (-4, -2, 0, 2, 4) for sign in (1, -1)]
+        psi = np.concatenate([np.linspace(-4 * math.pi - 1, 4 * math.pi + 1, 2001), *lobes])
+        re, im = direct_sum(psi, m, power=1)
+        g = weighted_dirichlet(psi, m)
+        assert np.abs(g.real - re).max() <= 1e-13 * m * m
+        assert np.abs(g.imag - im).max() <= 1e-13 * m * m
+
+    def test_weighted_dirichlet_keeps_the_shape_of_psi(self):
+        psi = np.linspace(-3, 3, 6)
+        assert weighted_dirichlet(1.0, 4).shape == ()
+        np.testing.assert_array_equal(
+            weighted_dirichlet(psi.reshape(2, 3), 4), weighted_dirichlet(psi, 4).reshape(2, 3)
+        )
+        # a NaN leaves the limit m*(m-1)/2 at psi = 2*pi*k in place
+        np.testing.assert_array_equal(
+            weighted_dirichlet([math.nan, 0.0, 2 * math.pi], 4), [complex(math.nan, math.nan), 6.0, 6.0]
+        )
+
 
 class TestDirichletParts:
     """The real form (Re D, Im D, |D|^2) of the complex kernel."""
@@ -270,6 +294,7 @@ class TestVectorPath:
         for im_only in (False, True):
             dirichlet_parts(cfg, v, 0.25, np.empty((5, v.size)), im_only=im_only)
         dirichlet(v, 8)
+        weighted_dirichlet(v, 8)  # v = 0 takes the series branch
         steering_vector(cfg, v)
         cophased_beam(steering_vector(cfg, v))
 
