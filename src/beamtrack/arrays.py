@@ -22,10 +22,10 @@ Conventions used throughout the package:
 
 The simulator's per-slot kernels compute no sine, cosine or complex
 exponential: :func:`steering_vector` builds exp(-j*y) from t = tan(y/2) as
-((1 - t^2) - 2jt)/(1 + t^2), and the Dirichlet core behind
-:func:`dirichlet_parts`, :func:`dirichlet` and :func:`weighted_dirichlet`
-builds D_M(psi) and the index-weighted kernel G_M(psi) from tan(psi/2) and
-tan(M*psi/2).  numpy runs ``np.tan`` on a SIMD loop where the CPU has one
+((1 - t^2) - 2jt)/(1 + t^2), and the Dirichlet core :func:`_dirichlet_rows`
+builds D_M(psi) from tan(psi/2) and tan(M*psi/2) and keeps both tangents, from
+which :func:`weighted_dirichlet` forms the index-weighted kernel G_M(psi).
+numpy runs ``np.tan`` on a SIMD loop where the CPU has one
 (AVX-512 on x86-64: about 3 ns per float64, against 7-14 ns for ``np.sin``
 and ``np.cos`` and 38 ns for complex ``np.exp``, which run the C library's
 scalar loops).  Without that loop all of them are scalar, and the tangent
@@ -140,25 +140,53 @@ def array_response(w: BeamformingVector, cfg: ArrayConfig, x: float) -> complex:
 def dirichlet(psi, m: int):
     """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with the limit m at
     psi = 2*pi*k (see :func:`_dirichlet_rows`); same shape as ``psi``."""
-    return _kernel(psi, m, 5, 0)
+    psi = np.asarray(psi, dtype=float)
+    d = np.empty(psi.shape, dtype=complex)
+    d.real, d.imag = _core(psi, m)[:2].reshape((2,) + psi.shape)
+    return d
 
 
 def weighted_dirichlet(psi, m: int):
     """G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi) = -j*dD_m/dpsi, the
-    index-weighted kernel, with the limit m*(m-1)/2 at psi = 2*pi*k (see
-    :func:`_dirichlet_rows`); same shape as ``psi``."""
-    return _kernel(psi, m, 7, 5)
+    index-weighted kernel; same shape as ``psi``.
 
+    From the core's D and tangents T = tan(m*delta), T_1 = tan(delta) (see
+    :func:`_dirichlet_rows`): D = exp(j*(m-1)*delta)*S with
+    S = sin(m*delta)/sin(delta) and d/dpsi = (1/2)*d/d(delta) give
 
-def _kernel(psi, m: int, n_rows: int, row: int):
-    """Rows ``row`` and ``row + 1`` of the ``n_rows``-row Dirichlet core of
-    ``psi`` as one complex array shaped like ``psi``."""
+        G = D*((m-1)/2 - (j/2)*s),  s = S'/S = m/T - 1/T_1,
+
+    which stays finite at the zeros of D, where T is small but never 0.  For
+    |T_1| < 7e-3/m, m/T - 1/T_1 cancels to about eps*m/|T_1|, so s takes
+    the first two terms of its series in T_1,
+
+        s = -(m^2 - 1)/3 * T_1 * (1 + (m^2 - 4)/15 * T_1^2),
+
+    whose truncation is about m^6*T_1^5/470; the threshold balances the two
+    errors at a few eps*m^2 in G, and delta = 0 gives the limit m*(m-1)/2.
+    """
     psi = np.asarray(psi, dtype=float)
-    out = np.empty((n_rows, psi.size))
+    re, im, t, t_1, half_s = _core(psi, m)
+    small = np.abs(t_1) < 7e-3 / m
+    closed = ~small
+    np.divide(0.5 * m, t, out=half_s, where=closed)
+    np.divide(0.5, t_1, out=t, where=closed)
+    np.subtract(half_s, t, out=half_s, where=closed)
+    if small.any():
+        t_s = t_1[small]
+        half_s[small] = t_s * ((1 - m * m) / 6) * (1.0 + (m * m - 4) / 15 * t_s * t_s)
+    c = 0.5 * (m - 1)
+    g = np.empty(psi.shape, dtype=complex)
+    g.real = (re * c + im * half_s).reshape(psi.shape)
+    g.imag = (im * c - re * half_s).reshape(psi.shape)
+    return g
+
+
+def _core(psi: np.ndarray, m: int) -> np.ndarray:
+    """:func:`_dirichlet_rows` of the flattened ``psi`` in a fresh buffer."""
+    out = np.empty((5, psi.size))
     np.multiply(psi.reshape(-1), 0.5, out=out[3])
-    k = np.empty(psi.shape, dtype=complex)
-    k.real, k.imag = _dirichlet_rows(m, out)[row : row + 2].reshape((2,) + psi.shape)
-    return k
+    return _dirichlet_rows(m, out)
 
 
 def complex_noise(rng: np.random.Generator, sigma: float) -> complex:
@@ -199,62 +227,51 @@ def f_gain_closed(cfg: ArrayConfig, v, x):
     return closed if closed.ndim else float(closed)
 
 
-def dirichlet_parts(cfg: ArrayConfig, v, x, out: np.ndarray, im_only: bool = False) -> np.ndarray:
+def dirichlet_parts(cfg: ArrayConfig, v, x, out: np.ndarray) -> np.ndarray:
     """Re D, Im D and |D|^2 of D_M(phi*(v - x)) in real arithmetic, into ``out``.
 
     With h = phi*(v - x)/2, D = exp(j*(M-1)*h) * sin(M*h)/sin(h), with the
     limit M at h = 0 (see :func:`_dirichlet_rows`).  ``out`` is a float
     array of shape (5,) + the broadcast shape of ``v`` and ``x``: rows 0-2
-    receive Re D, Im D and |D|^2, rows 3-4 are scratch.  ``im_only``
-    computes Im D alone and leaves rows 0 and 2 as scratch.  No temporaries
+    receive Re D, Im D and |D|^2, rows 3-4 are scratch.  No temporaries
     are allocated unless some h reduces to exactly 0.
     """
     h = out[3]
     np.subtract(v, x, out=h)
     h *= 0.5 * cfg.phase_factor
-    return _dirichlet_rows(cfg.num_antennas, out, im_only)
+    re, im, mag2, scratch, _ = _dirichlet_rows(cfg.num_antennas, out)
+    np.multiply(re, re, out=mag2)
+    np.multiply(im, im, out=scratch)
+    mag2 += scratch
+    return out
 
 
-def _dirichlet_rows(m: int, out: np.ndarray, im_only: bool = False) -> np.ndarray:
-    """:func:`dirichlet_parts` of D_m from the half angle h in ``out[3]``.
+def _dirichlet_rows(m: int, out: np.ndarray) -> np.ndarray:
+    """Re D_m and Im D_m from the half angle h = psi/2 in ``out[3]``.
+
+    ``out`` has five rows: rows 0-1 receive Re D and Im D, rows 2-3 the
+    tangents T = tan(m*delta) and T_1 = tan(delta) defined below, and row 4
+    is scratch.
 
     D has period pi in h, so h is first reduced to delta = h - pi*rint(h/pi)
     in [-pi/2, pi/2]; the grating lobes h = k*pi then become the one
     removable singularity delta = 0 with limit m, and the rounding of m*h
-    no longer sits next to a tiny sin(h).  With T = tan(m*delta) and
-    T_1 = tan(delta), sin(y)*exp(j*y) = T_y*(1 + j*T_y)/(1 + T_y^2) for
-    T_y = tan(y) gives
+    no longer sits next to a tiny sin(h).  sin(y)*exp(j*y) =
+    T_y*(1 + j*T_y)/(1 + T_y^2) for T_y = tan(y) gives
 
         D = sin(m*delta)*exp(j*m*delta) / (sin(delta)*exp(j*delta))
           = q*((1 + T*T_1) + j*(T - T_1)),  q = T/(T_1*(1 + T^2)),
 
     two tangents (see the module docstring) and no sine or cosine.
-
-    With seven rows in ``out``, rows 5-6 receive Re G and Im G of the
-    index-weighted kernel G_m(psi) = -j*dD/dpsi in place of |D|^2, and rows
-    2-4 are scratch.  D = exp(j*(m-1)*delta)*S with S = sin(m*delta)/sin(delta)
-    and d/dpsi = (1/2)*d/d(delta) give
-
-        G = D*((m-1)/2 - (j/2)*s),  s = S'/S = m/T - 1/T_1,
-
-    which stays finite at the zeros of D, where T is small but never 0.  For
-    |T_1| < 7e-3/m, m/T - 1/T_1 cancels to about eps*m/|T_1|, so s takes
-    the first two terms of its series in T_1 = tan(delta),
-
-        s = -(m^2 - 1)/3 * T_1 * (1 + (m^2 - 4)/15 * T_1^2),
-
-    whose truncation is about m^6*T_1^5/470; the threshold balances the two
-    errors at a few eps*m^2 in G, and delta = 0 gives the limit m*(m-1)/2.
     """
-    re, im, mag2, h, q = out[:5]
+    re, im, t, h, q = out
     np.divide(h, math.pi, out=q)
     np.rint(q, out=q)
     q *= math.pi
     h -= q  # delta
-    t, t_1 = mag2, h
     np.multiply(h, m, out=t)
     np.tan(t, out=t)
-    np.tan(h, out=t_1)
+    t_1 = np.tan(h, out=h)
     np.multiply(t, t, out=im)
     im += 1.0
     im *= t_1
@@ -266,29 +283,7 @@ def _dirichlet_rows(m: int, out: np.ndarray, im_only: bool = False) -> np.ndarra
         q[zero] = m
     np.subtract(t, t_1, out=im)
     im *= q
-    if im_only:
-        return out
     np.multiply(t, t_1, out=re)
     re += 1.0
     re *= q
-    if len(out) == 5:
-        np.multiply(re, re, out=mag2)
-        np.multiply(im, im, out=h)
-        mag2 += h
-        return out
-    half_s, g_im = out[5:]
-    small = np.abs(t_1, out=g_im) < 7e-3 / m
-    closed = ~small
-    np.divide(0.5 * m, t, out=half_s, where=closed)
-    np.divide(0.5, t_1, out=g_im, where=closed)
-    np.subtract(half_s, g_im, out=half_s, where=closed)
-    if small.any():
-        t_s = t_1[small]
-        half_s[small] = t_s * ((1 - m * m) / 6) * (1.0 + (m * m - 4) / 15 * t_s * t_s)
-    np.multiply(re, half_s, out=g_im)
-    np.multiply(im, half_s, out=t)
-    np.multiply(re, 0.5 * (m - 1), out=half_s)
-    half_s += t  # Re G
-    np.multiply(im, 0.5 * (m - 1), out=h)
-    np.subtract(h, g_im, out=g_im)
     return out

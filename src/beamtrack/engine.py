@@ -473,7 +473,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + Im w_n, in
         ``im_y``; D is evaluated afresh or read as slot i - 1's metrics left it."""
         if i == 0 or not reuse:
-            dirichlet_parts(cfg, v, x_n, kernel, im_only=True)
+            dirichlet_parts(cfg, v, x_n, kernel)
         np.multiply(im_d, inv_sqrt_m, out=im_y)
         return np.add(im_y, w_n.imag, out=im_y)
 

@@ -218,7 +218,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("pilot: must be nonzero")
     if spec.beta == 0:
         raise ConfigError("beta: must be nonzero")
-    for algo in spec.algorithms:
+    for k, algo in enumerate(spec.algorithms):
+        if algo in spec.algorithms[:k]:
+            raise ConfigError(f"algorithms: {algo!r} is listed twice")
         if algo not in ALGORITHMS:
             raise ConfigError(f"algorithms: unknown algorithm {algo!r}")
         if algo in BASELINE_ALGORITHMS and spec.m_track not in (None, spec.m_data):

@@ -170,6 +170,14 @@ class TestConfigHandling:
         assert "n_trials" in err
         assert out == ""
 
+    def test_repeated_algorithm_exits_2_naming_field(self, capsys):
+        code, out, err = run_cli(
+            capsys, "static", "--m", "8", "--trials", "2", "--slots", "3", "--algorithms", "kf,kf",
+        )
+        assert code == 2
+        assert "algorithms" in err and "'kf'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, capsys, workers):
         code, out, err = run_cli(

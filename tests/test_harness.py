@@ -90,6 +90,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="algorithms"):
             ExperimentSpec(kind="static-convergence", algorithms=("zigzag",))
 
+    def test_repeated_algorithm(self):
+        # a repeated name would run its simulation twice and write its
+        # summary rows twice
+        with pytest.raises(ConfigError, match="algorithms: 'kf'"):
+            ExperimentSpec(kind="static-convergence", algorithms=("kf", "kf"))
+
     def test_baseline_requires_full_array(self):
         with pytest.raises(ConfigError, match="m_track"):
             ExperimentSpec(kind="static-convergence", m_data=16, m_track=8, algorithms=("ls",))
