@@ -9,6 +9,7 @@ lower bound on the probability of converging to the true direction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +173,11 @@ def inverse_square_tail_sum(n0: float) -> float:
     return float(special.polygamma(1, n0 + 1))
 
 
+def _exp(v: float) -> float:
+    """exp(v), or inf where it passes the float range (math.exp raises there)."""
+    return math.exp(v) if v < math.log(sys.float_info.max) else math.inf
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Outcome of the convergence-probability bound computation.
@@ -201,7 +207,10 @@ def convergence_bound(
     Computes the pipeline constants (escape time T, Lipschitz L,
     C_e = exp(L*(T + a_1)), b(0) = alpha^2 * sum 1/(i+n0)^2, alpha_max, C_0)
     and returns max(0, 1 - 2*exp(-C_0*rho/alpha^2)) when every constraint
-    holds; otherwise an explicit non-applicability result.
+    holds; otherwise an explicit non-applicability result.  An exponential
+    past the float range is inf: an infinite C_e fails the step-size
+    constraint, and an infinite exp(2*L*(T + alpha_max/(n0 + 1))) gives
+    C_0 = 0 and the bound 0.
     """
     if not rho > 0 or not alpha > 0:
         raise ValueError("rho and alpha must be > 0")
@@ -224,7 +233,7 @@ def convergence_bound(
     a1 = alpha / (1.0 + n0)
     series = inverse_square_tail_sum(n0)
     b0 = alpha**2 * series
-    c_e = math.exp(ell * (t_escape + a1))
+    c_e = _exp(ell * (t_escape + a1))
 
     f0 = abs(f_gain(cfg, x0_hat, x))
     alpha_max = (n0 + 1.0) * (abs(x - x0_hat) + mainlobe_half_width(cfg)) / f0
@@ -256,7 +265,7 @@ def convergence_bound(
             False, None, "step-size variance exceeds the noise budget: increase n0", details
         )
 
-    c0 = delta**2 / (4.0 * math.exp(2.0 * ell * (t_escape + alpha_max / (n0 + 1.0))) * series)
+    c0 = delta**2 / (4.0 * _exp(2.0 * ell * (t_escape + alpha_max / (n0 + 1.0))) * series)
     details["C0"] = c0
     value = max(0.0, 1.0 - 2.0 * math.exp(-c0 * rho / alpha**2))
     return BoundResult(True, value, None, details)

@@ -130,6 +130,17 @@ def conjugate_beamformer(cfg: ArrayConfig, v: float) -> BeamformingVector:
     return BeamformingVector(-cfg.phase_factor * cfg.antenna_indices * v)
 
 
+def cophased_beam(h: np.ndarray) -> np.ndarray:
+    """The analog beam exp(1j*angle(h))/sqrt(M) matched to the channel
+    estimates in the rows of ``h``, formed as h/(|h|*sqrt(M)) without a
+    complex exponential; an entry with h = 0 gets weight 1/sqrt(M), as
+    angle(0) = 0 gives."""
+    root_m = math.sqrt(h.shape[-1])
+    scale = np.abs(h)
+    scale *= root_m
+    return np.divide(h, scale, out=np.full_like(h, 1.0 / root_m), where=scale != 0)
+
+
 def array_response(w: BeamformingVector, cfg: ArrayConfig, x: float) -> complex:
     """Combined response w^H a(x)."""
     if w.num_antennas != cfg.num_antennas:

@@ -18,7 +18,7 @@ import secrets
 import sys
 
 from .crlb import max_fisher_information, min_crlb_x
-from .harness import SUMMARY_HEADER, ConfigError, ExperimentSpec, run_experiment, write_csv
+from .harness import SUMMARY_HEADER, SUMMARY_ROW, ConfigError, ExperimentSpec, run_experiment, write_csv
 
 _SUBCOMMAND_KIND = {
     "static": "static-convergence",
@@ -181,7 +181,8 @@ def _run_crlb(spec: ExperimentSpec, slots: list[int], out_dir: str | None) -> in
     bounds.append(("n*MSE(h) limit         ", "crlb_n_mse_h_limit", spec.channel_crlb_limit()))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "crlb.csv"), SUMMARY_HEADER, [(key, "theory", v) for _, key, v in bounds])
+        rows = [(key, "theory", v) for _, key, v in bounds]
+        write_csv(os.path.join(out_dir, "crlb.csv"), SUMMARY_HEADER, SUMMARY_ROW, rows)
     for label, _, value in bounds:
         print(f"{label}= {value:.6g}")
     return 0

@@ -14,9 +14,8 @@ hundred trials advances one slot in a handful of elementwise operations.
 Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
 records the returned estimate's metrics, statistics and excursions.  Least
-squares returns None and writes its own channel metrics; its data beam is
-the co-phased beam of its channel estimate, h/(|h|*sqrt(M))
-(:func:`cophased_beam`), formed without a complex exponential.  The
+squares estimates the channel, not x: its step hands its channel estimate to
+:func:`~beamtrack.metrics.write_channel_metrics` and returns None.  The
 steering vectors and Dirichlet kernels of every slot take their sines and
 cosines from ``np.tan`` (see :mod:`beamtrack.arrays` for why); the angular
 and Kalman steps still call ``np.sin`` and ``np.cos`` of their angle
@@ -76,7 +75,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import analysis, dynamics
 from .arrays import ArrayConfig, dirichlet, dirichlet_parts, steering_vector, weighted_dirichlet
-from .metrics import METRIC_NAMES, SlotStats, write_slot_metrics
+from .metrics import METRIC_NAMES, SlotStats, write_channel_metrics, write_slot_metrics
 from .trackers import (
     StepSizeSchedule,
     codebook_directions,
@@ -121,8 +120,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# rows of a slot's metric block
-_MSE_H, _AOA, _RATE = (METRIC_NAMES.index(k) for k in ("mse_h", "aoa_error_deg", "rate"))
+# the AoA error's row of a slot's metric block, for the excursion test
+_AOA = METRIC_NAMES.index("aoa_error_deg")
 
 KF_OFFSET_RAD = math.radians(3.5)
 
@@ -347,17 +346,6 @@ def draw_noise(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarr
     return out
 
 
-def cophased_beam(h: np.ndarray) -> np.ndarray:
-    """The analog beam exp(1j*angle(h))/sqrt(M) matched to the channel
-    estimates in the rows of ``h``, formed as h/(|h|*sqrt(M)) without a
-    complex exponential; an entry with h = 0 gets weight 1/sqrt(M), as
-    angle(0) = 0 gives."""
-    root_m = math.sqrt(h.shape[-1])
-    scale = np.abs(h)
-    scale *= root_m
-    return np.divide(h, scale, out=np.full_like(h, 1.0 / root_m), where=scale != 0)
-
-
 def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
     """Clip ``a`` to [lo, hi] in place."""
     np.minimum(a, hi, out=a)
@@ -373,8 +361,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     estimate of x.  One slot loop then writes that
     estimate's metrics into one (len(METRIC_NAMES), T) block for
     ``SlotStats.record`` and updates the excursion flags.  Least squares
-    estimates the channel, not x: its ``step`` writes the mse_h and rate rows
-    itself and returns None, so its mse_x and AoA rows and its
+    estimates the channel, not x: its ``step`` has
+    :func:`~beamtrack.metrics.write_channel_metrics` fill the block's mse_h
+    and rate rows and returns None, so its mse_x and AoA rows and its
     ``final_estimate`` stay NaN.
 
     The extras are six per-trial arrays: the stage-1 estimate ``x0_hat``,
@@ -448,7 +437,6 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
 
     stats = SlotStats.empty(n_trials, n)
     values = np.full((len(METRIC_NAMES), n_trials), np.nan)  # one slot's metric block
-    deviations = np.empty_like(values)  # SlotStats.record's scratch, reused slot to slot
     excursion = np.zeros(n_trials, dtype=bool)
     excursion_from = n if setup.excursion_threshold_rad is None else setup.excursion_burn_in
     excursion_deg = math.degrees(setup.excursion_threshold_rad or 0.0)
@@ -526,12 +514,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             else:
                 buf[:, j] = r_new
             h_hat = ((buf / counts) @ wt.T) / p
-            a_true = truth_vectors(x_n)
-            diff = h_hat - beta * a_true
-            values[_MSE_H] = np.sum(diff.real**2 + diff.imag**2, axis=1)
-            w_data = cophased_beam(h_hat)
-            resp_data = np.einsum("tm,tm->t", w_data.conj(), np.broadcast_to(a_true, h_hat.shape))
-            values[_RATE] = np.log2(1.0 + rho * (resp_data.real**2 + resp_data.imag**2))
+            write_channel_metrics(values, h_hat, truth_vectors(x_n), beta, rho)
             return None
 
     elif setup.algorithm == "cs":
@@ -617,7 +600,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             dirichlet_parts(cfg_d, x_hat, x_n, kernel)
             asin_x = np.arcsin(x_n) if asin_xs is None else asin_xs[..., i]
             write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, re_d, mag2_d, beta, rho)
-        stats.record(i, values, deviations)
+        stats.record(i, values)
         if i >= excursion_from:
             np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)
 

@@ -618,26 +618,23 @@ KINDS = tuple(_RUNNERS)
 # serialization
 
 
+# summary.csv and crlb.csv: (param, algorithm, value) rows
 SUMMARY_HEADER = "param,algorithm,value"
+SUMMARY_ROW = "%s,%s,%.17g"
 
 
-def write_csv(path: str, header: str, rows) -> None:
-    """``header``, then one line per row: strings as given, every number with
-    17 significant digits, which round-trips a float."""
+def write_csv(path: str, header: str, row_format: str, rows) -> None:
+    """``header``, then the line ``row_format % row`` for every tuple in
+    ``rows``; the package formats every number as ``%.17g``, 17 significant
+    digits, which round-trips a float."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else f"{float(v):.17g}" for v in row]) + "\n")
+        fh.writelines([row_format % row + "\n" for row in rows])
 
 
-def _write_columns(path: str, header: str, row_format: str, *columns) -> None:
-    """``header``, then ``row_format % row`` for every row of the equal-length
-    numeric ``columns``; with each number formatted as ``%.17g`` this is the
-    bytes :func:`write_csv` writes for the same rows."""
-    rows = zip(*[np.asarray(c).tolist() for c in columns])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines([row_format % row for row in rows])
+def _columns(*columns):
+    """The rows of equal-length numeric columns, as tuples of Python numbers."""
+    return zip(*[np.asarray(c).tolist() for c in columns])
 
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
@@ -652,21 +649,17 @@ def write_result(result: ExperimentResult, out_dir: str) -> None:
     for algo, series in result.series.items():
         n_trials = f"{float(series.n_trials):.17g}"
         for metric in METRIC_NAMES:
-            _write_columns(
-                os.path.join(out_dir, f"{algo}_{metric}.csv"),
-                "slot,metric,mean,stderr,n_trials",
-                f"%.17g,{metric},%.17g,%.17g,{n_trials}\n",
-                series.slots, series.metric(metric), series.stderr[metric],
-            )
-    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, result.summary)
+            rows = _columns(series.slots, series.metric(metric), series.stderr[metric])
+            write_csv(os.path.join(out_dir, f"{algo}_{metric}.csv"), "slot,metric,mean,stderr,n_trials",
+                      f"%.17g,{metric},%.17g,%.17g,{n_trials}", rows)
+    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, SUMMARY_ROW, result.summary)
     overlay = result.extras.get("crlb_overlay")
     if overlay is not None:
-        _write_columns(
-            os.path.join(out_dir, "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", "%.17g,%.17g,%.17g\n",
-            overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"],
-        )
+        rows = _columns(overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"])
+        write_csv(os.path.join(out_dir, "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", "%.17g,%.17g,%.17g", rows)
     table = result.extras.get("sweep_table")
     if table is not None:
-        write_csv(os.path.join(out_dir, "sweep.csv"), "omega,algorithm,mean_rate,mean_mse_h", table)
+        write_csv(os.path.join(out_dir, "sweep.csv"), "omega,algorithm,mean_rate,mean_mse_h",
+                  "%.17g,%s,%.17g,%.17g", table)
     with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)

@@ -1,5 +1,11 @@
 """Per-slot performance metrics (channel-response MSE, achievable rate, AoA
-error) and their per-slot trial statistics across chunks of trials."""
+error) and their per-slot trial statistics across chunks of trials.
+
+Every reported metric is computed here: the trackers' from the Dirichlet
+kernel of their estimate (:func:`write_slot_metrics`), least squares' from
+its channel estimate (:func:`write_channel_metrics`), and the rate of an SNR,
+log2(1 + snr), in one place, :func:`rate_bits`.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, dirichlet_parts
+from .arrays import ArrayConfig, cophased_beam, dirichlet_parts
 
 
 @dataclass
@@ -34,9 +40,16 @@ class MetricSeries:
 METRIC_NAMES = ("mse_h", "mse_x", "aoa_error_deg", "rate")
 
 
+def rate_bits(snr, out=None):
+    """Achievable rate log2(1 + snr) in bits/s/Hz, as log1p(snr)/ln 2, which
+    keeps its full relative precision as snr -> 0 (log2(1 + snr) rounds to 0
+    below snr = 2**-53); in place when ``out`` is given."""
+    return np.divide(np.log1p(snr, out=out), math.log(2.0), out=out)
+
+
 def capacity(cfg: ArrayConfig, rho: float) -> float:
     """Rate ceiling log2(1 + rho*M), attained by the matched beamformer."""
-    return math.log2(1.0 + rho * cfg.num_antennas)
+    return float(rate_bits(rho * cfg.num_antennas))
 
 
 def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d, mag2_d, beta: complex, rho: float):
@@ -56,8 +69,21 @@ def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d
     aoa *= 180.0 / math.pi
     np.multiply(mag2_d, rho, out=rate)
     rate /= m
-    rate += 1.0
-    np.log2(rate, out=rate)
+    rate_bits(rate, out=rate)
+
+
+def write_channel_metrics(out: np.ndarray, h_hat, a_true, beta: complex, rho: float):
+    """Fill the mse_h and rate rows of ``out`` in place for (T, M) channel
+    estimates ``h_hat`` of beta*a(x), given the steering vectors ``a_true``
+    of x ((T, M) or one shared (M,)): mse_h = sum |h_hat - beta*a(x)|^2, and
+    the rate of the data beam :func:`~beamtrack.arrays.cophased_beam` of
+    h_hat.  The mse_x and AoA rows are left as they are."""
+    mse_h, _, _, rate = out
+    diff = h_hat - beta * a_true
+    mse_h[:] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+    resp = np.einsum("tm,tm->t", cophased_beam(h_hat).conj(), np.broadcast_to(a_true, h_hat.shape))
+    np.multiply(resp.real**2 + resp.imag**2, rho, out=rate)
+    rate_bits(rate, out=rate)
 
 
 def slot_metrics(cfg: ArrayConfig, x_hat, x, beta: complex, rho: float) -> dict:
@@ -93,11 +119,10 @@ class SlotStats:
         shape = (len(METRIC_NAMES), n_slots)
         return cls(count, np.empty(shape), np.empty(shape))
 
-    def record(self, i: int, block: np.ndarray, dev: np.ndarray) -> None:
-        """Store slot ``i`` from a (len(METRIC_NAMES), count) block of trial
-        values; ``dev``, of the same shape, is scratch that it overwrites."""
+    def record(self, i: int, block: np.ndarray) -> None:
+        """Store slot ``i`` from a (len(METRIC_NAMES), count) block of trial values."""
         mean = block.sum(axis=1) / self.count
-        np.subtract(block, mean[:, None], out=dev)
+        dev = block - mean[:, None]
         self.mean[:, i] = mean
         self.m2[:, i] = np.square(dev, out=dev).sum(axis=1)
 

@@ -369,11 +369,10 @@ def cs_means(setup, trial_lo, trial_hi):
     cfg = setup.cfg_data
     stats = SlotStats.empty(trial_hi - trial_lo, setup.n_slots)
     values = np.full((len(METRIC_NAMES), trial_hi - trial_lo), np.nan)
-    deviations = np.empty_like(values)
     kernel = np.empty((5, trial_hi - trial_lo))
     for i in range(setup.n_slots):
         x_n = xs[..., i]
         re_d, _, mag2_d = dirichlet_parts(cfg, x_hat[:, i], x_n, kernel)[:3]
         write_slot_metrics(values, cfg, x_hat[:, i], x_n, np.arcsin(x_n), re_d, mag2_d, setup.beta, setup.rho)
-        stats.record(i, values, deviations)
+        stats.record(i, values)
     return stats.series(), x_hat[:, -1]

@@ -182,6 +182,17 @@ class TestConvergenceBound:
         res = convergence_bound(CFG8, 10.0, a_star, 10.0, self.X, 0.9, self.DELTA)
         assert not res.applicable and "mainlobe" in res.reason
 
+    def test_exponents_past_the_float_range_give_a_result_not_an_overflow(self):
+        # C_e = exp(L*(T + a_1)) passes the float range (T ~ 5e7): the
+        # step-size constraint cannot hold
+        res = convergence_bound(CFG8, 10.0, alpha_star(CFG8), 1e3, 0.0, 0.05, 0.0499999999)
+        assert not res.applicable and "step-size" in res.reason
+        assert res.details["C_e"] == math.inf
+        # only C_0's exponent 2*L*(T + alpha_max/(n0 + 1)) does: C_0 = 0 and the bound is 0
+        cfg = ArrayConfig(2, 0.5)
+        res = convergence_bound(cfg, 1e10, alpha_star(cfg), 1e9, 0.0, 1e-6, 1e-8)
+        assert res.applicable and res.value == 0.0 and res.details["C0"] == 0.0
+
     def test_applicable_with_large_n0(self):
         res = convergence_bound(CFG8, 10.0, alpha_star(CFG8), 10.0, self.X, self.X0, self.DELTA)
         assert res.applicable

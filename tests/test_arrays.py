@@ -12,6 +12,7 @@ from beamtrack.arrays import (
     array_response,
     complex_noise,
     conjugate_beamformer,
+    cophased_beam,
     dirichlet,
     dirichlet_parts,
     f_gain,
@@ -20,7 +21,6 @@ from beamtrack.arrays import (
     steering_vector,
     weighted_dirichlet,
 )
-from beamtrack.engine import cophased_beam
 from reference import (
     ChannelState,
     SnrConfig,

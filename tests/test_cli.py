@@ -334,6 +334,24 @@ class TestRunCommands:
         assert code == 0
         assert "mean_rate" in out
 
+    def test_dynamic_at_minus_200_db_reports_a_rate_fraction(self, capsys):
+        # capacity once underflowed to 0 here, and rate_fraction divided by it
+        code, out, err = run_cli(
+            capsys, "dynamic", "--m", "13", "--snr-db", "-200", "--trials", "1", "--slots", "1", "--seed", "3"
+        )
+        assert code == 0, err
+        fraction = float(re.search(r"^rate_fraction\s+recursive\s+(\S+)$", out, re.M).group(1))
+        assert 0.0 <= fraction <= 1.0
+
+    def test_table1_at_minus_200_db_finds_no_velocity(self, capsys):
+        # with capacity 0 every rate held 0.95 of it, and omega_hi was reported
+        code, out, err = run_cli(
+            capsys, "table1", "--m", "8", "--snr-db", "-200", "--trials", "2", "--slots", "5", "--seed", "3"
+        )
+        assert code == 0, err
+        for param in ("max_omega_rad_per_slot", "max_velocity_deg_per_sec"):
+            assert re.search(rf"^{param}\s+recursive\s+nan$", out, re.M), out
+
     def test_kf_integer_p0_matches_float(self, capsys, tmp_path):
         outs = []
         for p0 in (1, 1.0):

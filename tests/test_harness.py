@@ -1,18 +1,24 @@
+import dataclasses
+import decimal
 import json
 import math
 import multiprocessing
 import os
 import platform
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beamtrack
-from beamtrack import dynamics, harness
+from beamtrack import analysis, dynamics, harness
 from beamtrack.arrays import ArrayConfig, conjugate_beamformer
 from beamtrack.cli import main as cli_main
 from beamtrack.engine import ALGORITHMS, TrialSetup, run_chunk
 from beamtrack.harness import (
+    KINDS,
     ConfigError,
     ExperimentResult,
     ExperimentSpec,
@@ -26,6 +32,7 @@ from beamtrack.metrics import (
     MetricSeries,
     SlotStats,
     capacity,
+    rate_bits,
     slot_metrics,
 )
 
@@ -49,6 +56,27 @@ class TestMetrics:
 
     def test_capacity_value(self):
         assert capacity(ArrayConfig(16, 0.5), 10.0) == pytest.approx(7.33, abs=0.005)
+
+    def test_capacity_positive_at_any_admitted_snr(self):
+        # log2(1 + 2e-30) rounds to 0
+        assert capacity(ArrayConfig(2), 1e-30) > 0
+
+    def test_rate_within_2_ulp_of_log2_one_plus_snr(self):
+        rng = np.random.default_rng(2)
+        snr = np.concatenate(
+            [[0.0], np.geomspace(1e-20, 1e3, 1000), rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1e3, 500)]
+        )
+        got = rate_bits(snr)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            ln2 = decimal.Decimal(2).ln()
+            for x, r in zip(snr.tolist(), got.tolist()):
+                exact = (1 + decimal.Decimal(x)).ln() / ln2
+                assert abs(decimal.Decimal(r) - exact) <= 2 * decimal.Decimal(math.ulp(float(exact))), x
+
+    def test_rate_is_snr_over_ln2_below_1e_17(self):
+        snr = np.array([0.0, 5e-324, 1e-300, 1e-30, 9.99e-18])
+        assert np.array_equal(rate_bits(snr), snr / math.log(2.0))
 
     def test_closed_forms_match_direct(self):
         cfg = ArrayConfig(16, 0.5)
@@ -349,27 +377,19 @@ def test_cli_exits_1_when_a_pooled_chunk_raises(monkeypatch, capsys):
 
 
 class TestSlotStats:
-    @staticmethod
-    def allocating_record(self, i, block, dev):
-        # the record before its deviation buffer was reused
-        mean = block.sum(axis=1) / self.count
-        dev = block - mean[:, None]
-        self.mean[:, i] = mean
-        self.m2[:, i] = (dev * dev).sum(axis=1)
-
-    @pytest.mark.parametrize("model", [dynamics.Static(0.3), dynamics.FixedVelocity(0.01, math.pi / 3, 0.2)])
-    def test_record_is_bit_identical_to_allocating_form(self, monkeypatch, model):
-        spec = ExperimentSpec(kind="static-convergence", m_data=8, seed=11)
-        setup = TrialSetup(
-            algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
-            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
-            schedule=spec.resolved_schedule(), model=model, n_slots=300, m0=16, base_seed=11,
-        )
-        reused = run_chunk(setup, 0, 97).stats
-        monkeypatch.setattr(SlotStats, "record", self.allocating_record)
-        allocating = run_chunk(setup, 0, 97).stats
-        assert np.array_equal(reused.mean, allocating.mean)
-        assert np.array_equal(reused.m2, allocating.m2)
+    def test_record_matches_direct_mean_and_m2(self):
+        # a spread of 1e-9 about a mean near 7, as rates near capacity have:
+        # sum(v^2) - n*mean^2 would lose every digit of M2 here
+        n = 97
+        blocks = 7.3 + 1e-9 * np.random.default_rng(5).standard_normal((3, len(METRIC_NAMES), n))
+        stats = SlotStats.empty(n, len(blocks))
+        for i, block in enumerate(blocks):
+            stats.record(i, block)
+        for i, block in enumerate(blocks):
+            mean = np.array([math.fsum(row) / n for row in block])
+            m2 = [math.fsum((row - mu) ** 2) for row, mu in zip(block, mean)]
+            np.testing.assert_allclose(stats.mean[:, i], mean, rtol=1e-15)
+            np.testing.assert_allclose(stats.m2[:, i], m2, rtol=1e-9)
 
 
 class TestExperimentKinds:
@@ -462,10 +482,12 @@ class TestCsvSchema:
         assert lines[0] == "slot,metric,mean,stderr,n_trials"
         assert lines[1] == "1,mse_h,0.5,0.10000000000000001,7"
 
-    def test_column_writer_matches_the_row_writer(self, tmp_path):
-        # per-slot and overlay CSVs are written a column at a time; their
-        # bytes equal write_csv's for the same rows, special values included
-        values = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1 / 3, 2.5e17, 7.0])
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1 / 3, 2.5e17, 7.0)
+
+    def test_writer_formats_every_number_as_17g(self, tmp_path):
+        # every CSV of a result, special values included, holds each number
+        # as f"{float(v):.17g}"; slots and n_trials are integers
+        values = np.array(self.SPECIAL)
         slots = np.arange(1, values.size + 1)
         series = MetricSeries(
             slots=slots,
@@ -477,26 +499,40 @@ class TestCsvSchema:
             stderr={name: np.roll(values, k) for k, name in enumerate(METRIC_NAMES)},
         )
         overlay = {"slots": slots, "min_crlb_x": values, "min_crlb_h": values[::-1].copy()}
+        summary = [("p", "a", v) for v in self.SPECIAL] + [("n_trials", "coarse-sweep", 12345)]
+        table = [(v, "kf", v, -v) for v in self.SPECIAL]
         spec = ExperimentSpec(kind="static-convergence")
-        result = ExperimentResult(spec=spec, series={"kf": series}, summary=[], extras={"crlb_overlay": overlay})
-        write_result(result, str(tmp_path / "columns"))
-        rows_dir = tmp_path / "rows"
-        rows_dir.mkdir()
-        for metric in METRIC_NAMES:
-            columns = zip(slots, series.metric(metric), series.stderr[metric])
-            rows = [(t, metric, a, b, series.n_trials) for t, a, b in columns]
-            write_csv(str(rows_dir / f"kf_{metric}.csv"), "slot,metric,mean,stderr,n_trials", rows)
-        rows = zip(overlay["slots"], overlay["min_crlb_x"], overlay["min_crlb_h"])
-        write_csv(str(rows_dir / "crlb_overlay.csv"), "slot,min_crlb_x,min_crlb_h", rows)
-        for path in rows_dir.iterdir():
-            assert (tmp_path / "columns" / path.name).read_bytes() == path.read_bytes(), path.name
+        extras = {"crlb_overlay": overlay, "sweep_table": table}
+        write_result(ExperimentResult(spec=spec, series={"kf": series}, summary=summary, extras=extras), str(tmp_path))
+
+        def g(v):
+            return f"{float(v):.17g}"
+
+        expected = {
+            f"kf_{metric}.csv": ["slot,metric,mean,stderr,n_trials"] + [
+                f"{g(t)},{metric},{g(a)},{g(b)},{g(series.n_trials)}"
+                for t, a, b in zip(slots, series.metric(metric), series.stderr[metric])
+            ]
+            for metric in METRIC_NAMES
+        }
+        expected["crlb_overlay.csv"] = ["slot,min_crlb_x,min_crlb_h"] + [
+            ",".join(map(g, row)) for row in zip(slots, overlay["min_crlb_x"], overlay["min_crlb_h"])
+        ]
+        expected["summary.csv"] = ["param,algorithm,value"] + [f"{p},{a},{g(v)}" for p, a, v in summary]
+        expected["sweep.csv"] = ["omega,algorithm,mean_rate,mean_mse_h"] + [
+            f"{g(o)},{a},{g(r)},{g(m)}" for o, a, r, m in table
+        ]
+        assert "1,mse_h,nan,nan,12345" in expected["kf_mse_h.csv"]
+        assert "n_trials,coarse-sweep,12345" in expected["summary.csv"]
+        for name, lines in expected.items():
+            assert (tmp_path / name).read_bytes() == "".join(line + "\n" for line in lines).encode(), name
 
     def test_floats_serialized_at_full_precision(self, tmp_path):
-        value = 1 / 3
         path = tmp_path / "sum.csv"
-        write_csv(str(path), "param,algorithm,value", [("p", "a", value)])
-        text = path.read_text().splitlines()[1]
-        assert float(text.split(",")[2]) == value
+        write_csv(str(path), "param,algorithm,value", "%s,%s,%.17g", [("p", "a", v) for v in self.SPECIAL])
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [f"p,a,{float(v):.17g}" for v in self.SPECIAL]
+        assert float(lines[8].split(",")[2]) == 1 / 3
 
     def test_result_files_written(self, tmp_path):
         spec = ExperimentSpec(kind="static-convergence", m_data=8, n_slots=50, n_trials=5, seed=0)
@@ -589,3 +625,105 @@ class TestAggregation:
             expected = values.std(ddof=1) / math.sqrt(values.size)
             assert expected > 0
             np.testing.assert_allclose(series.stderr[name][-1], expected, rtol=1e-6)
+
+
+HALF_PI = 0.5 * math.pi
+# every spec field at tiny sizes: most draws are valid, the rest are rejected
+# (a baseline on a sub-array, an omega past the bound, ...).  alpha,
+# pilot and beta keep moderate magnitudes: past about 1e150, alpha**2 and
+# |pilot*beta|^2 overflow, a known defect
+_SPEC_FIELDS = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(KINDS),
+        "m_data": st.integers(2, 8),
+        "n_trials": st.integers(1, 4),
+        "n_slots": st.integers(1, 5),
+        "seed": st.integers(0, 2**32),
+        "snr_db": st.sampled_from([-300.0, -200.0, 0.0, 300.0]) | st.floats(-300.0, 300.0),
+        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True).map(tuple),
+        "omegas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2).map(tuple),
+    },
+    optional={
+        "m_track": st.integers(2, 8),
+        "spacing_ratio": st.floats(0.05, 2.0),
+        "stage1_snr_db": st.floats(-300.0, 300.0),
+        "pilot": st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        "beta": st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        "no_noise": st.booleans(),
+        "schedule": st.sampled_from(["diminishing", "fixed"]),
+        "alpha": st.floats(1e-6, 10.0),
+        "n0": st.floats(0.0, 1e3),
+        "x": st.floats(-1.0, 1.0),
+        "m0": st.integers(2, 32),
+        "traj_kind": st.sampled_from(["sinusoid", "fixed-velocity"]),
+        "sinusoid_amplitude": st.floats(-HALF_PI, HALF_PI),
+        "sinusoid_period": st.integers(1, 1000),
+        "sinusoid_jitter_std": st.floats(0.0, 0.1),
+        "omega": st.floats(0.0, HALF_PI),
+        "bound": st.floats(1e-3, HALF_PI),
+        "theta0": st.floats(-HALF_PI, HALF_PI),
+        "pilots_per_sec": st.floats(0.1, 100.0),
+        "rate_fraction": st.floats(1e-3, 1.0),
+        "kf_q": st.floats(0.0, 1.0),
+        "kf_p0": st.floats(1e-6, 10.0),
+        "x0_hat": st.floats(-1.0, 1.0),
+        "delta": st.floats(1e-4, 0.5),
+    },
+)
+# a table search's range, with a tolerance of at least 1/64 of it
+_TABLE_RANGE = st.tuples(st.floats(0.0, HALF_PI), st.floats(0.0, HALF_PI), st.integers(1, 64)).map(
+    lambda t: {"omega_lo": t[0], "omega_hi": t[1], "omega_tol": max(abs(t[1] - t[0]) / t[2], 1e-3)}
+)
+_SPECS = st.tuples(_SPEC_FIELDS, st.just({}) | _TABLE_RANGE).map(lambda t: {**t[0], **t[1]})
+
+
+def _allowed_nans(spec: ExperimentSpec, result) -> set:
+    """The summary rows documented to be NaN for this run."""
+    rows = {(p, a): v for p, a, v in result.summary}
+    allowed = set()
+    if spec.kind == "theory-diagnostics":
+        if rows.get(("convergence_bound_applicable", "theory")) == 0.0:
+            allowed.add(("convergence_bound", "theory"))
+        if spec.resolved_alpha() <= analysis.stability_threshold(spec.cfg_track):
+            allowed.add(("asymptotic_variance", "theory"))
+    if spec.kind == "max-velocity-table":
+        threshold = spec.rate_fraction * capacity(spec.cfg_data, spec.rho)
+        for algo in spec.algorithms:
+            rates = [r for a, _, r in result.extras["evals"] if a == algo]
+            if len(rates) == 2 and max(rates) < threshold:  # not even omega_lo holds the fraction
+                allowed |= {("max_omega_rad_per_slot", algo), ("max_velocity_deg_per_sec", algo)}
+    return allowed
+
+
+class TestEverySpecKind:
+    @given(_SPECS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    # capacity once underflowed to 0 here: a division by zero, and a table
+    # search that every rate passed
+    @example({"kind": "dynamic-trajectory", "m_data": 13, "snr_db": -200.0, "n_trials": 1, "n_slots": 1, "seed": 3})
+    @example({"kind": "max-velocity-table", "m_data": 8, "snr_db": -200.0, "n_trials": 2, "n_slots": 5, "seed": 3})
+    # the convergence bound's exp(L*(T + a_1)) once raised OverflowError here
+    @example({"kind": "theory-diagnostics", "m_data": 8, "n_trials": 1, "n_slots": 1, "seed": 0, "snr_db": 10.0,
+              "x": 0.0, "x0_hat": 0.05, "delta": 0.0499999999, "n0": 1e3})
+    def test_a_spec_is_rejected_naming_a_field_or_runs_soundly(self, fields):
+        try:
+            spec = ExperimentSpec(**fields)
+        except ConfigError as exc:
+            names = {f.name for f in dataclasses.fields(ExperimentSpec)} | {"omega_lo/omega_hi"}
+            assert str(exc).split(":")[0] in names, str(exc)
+            return
+        with tempfile.TemporaryDirectory() as out_dir:
+            result = run_experiment(spec, out_dir)
+            with open(os.path.join(out_dir, "metadata.json"), encoding="utf-8") as fh:
+                meta = json.load(fh)
+        allowed = _allowed_nans(spec, result)
+        for param, algo, value in result.summary:
+            assert math.isfinite(value) or (param, algo) in allowed, (param, algo, value)
+            assert param != "capacity_bits" or value > 0, value
+        ceiling = capacity(spec.cfg_data, spec.rho) * (1 + 1e-12)
+        rates = [r for s in result.series.values() for r in s.rate]
+        rates += [row[2] for row in result.extras.get("sweep_table", [])]
+        rates += [row[2] for row in result.extras.get("evals", [])]
+        assert all(r <= ceiling for r in rates), (max(rates), ceiling)
+        for counters in meta.get("health", {}).values():
+            assert all(0 <= v <= spec.n_trials * spec.n_slots for v in counters.values()), counters
