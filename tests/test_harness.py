@@ -377,6 +377,28 @@ def test_cli_exits_1_when_a_pooled_chunk_raises(monkeypatch, capsys):
 
 
 class TestSlotStats:
+    @staticmethod
+    def allocating_record(self, i, block):
+        # the record with every intermediate freshly allocated
+        mean = block.sum(axis=1) / self.count
+        dev = block - mean[:, None]
+        self.mean[:, i] = mean
+        self.m2[:, i] = (dev * dev).sum(axis=1)
+
+    @pytest.mark.parametrize("model", [dynamics.Static(0.3), dynamics.FixedVelocity(0.01, math.pi / 3, 0.2)])
+    def test_record_is_bit_identical_to_allocating_form(self, monkeypatch, model):
+        spec = ExperimentSpec(kind="static-convergence", m_data=8, seed=11)
+        setup = TrialSetup(
+            algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
+            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
+            schedule=spec.resolved_schedule(), model=model, n_slots=300, m0=16, base_seed=11,
+        )
+        in_place = run_chunk(setup, 0, 97).stats
+        monkeypatch.setattr(SlotStats, "record", self.allocating_record)
+        allocating = run_chunk(setup, 0, 97).stats
+        assert np.array_equal(in_place.mean, allocating.mean)
+        assert np.array_equal(in_place.m2, allocating.m2)
+
     def test_record_matches_direct_mean_and_m2(self):
         # a spread of 1e-9 about a mean near 7, as rates near capacity have:
         # sum(v^2) - n*mean^2 would lose every digit of M2 here
