@@ -152,14 +152,15 @@ def dirichlet(psi, m: int):
     """D_m(psi) = sum_{k=0}^{m-1} exp(1j*k*psi), with the limit m at
     psi = 2*pi*k (see :func:`_dirichlet_rows`); same shape as ``psi``."""
     psi = np.asarray(psi, dtype=float)
-    d = np.empty(psi.shape, dtype=complex)
-    d.real, d.imag = _core(psi, m)[:2].reshape((2,) + psi.shape)
-    return d
+    re, im = _core(psi, m)[:2]
+    return _complex(re, im, psi.shape)
 
 
 def weighted_dirichlet(psi, m: int):
-    """G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi) = -j*dD_m/dpsi, the
-    index-weighted kernel; same shape as ``psi``.
+    """(D_m(psi), G_m(psi)) from one evaluation of the core, each the shape
+    of ``psi``: D as :func:`dirichlet` returns it, bit for bit, and the
+    index-weighted kernel G_m(psi) = sum_{k=0}^{m-1} k * exp(1j*k*psi) =
+    -j*dD_m/dpsi.
 
     From the core's D and tangents T = tan(m*delta), T_1 = tan(delta) (see
     :func:`_dirichlet_rows`): D = exp(j*(m-1)*delta)*S with
@@ -187,10 +188,14 @@ def weighted_dirichlet(psi, m: int):
         t_s = t_1[small]
         half_s[small] = t_s * ((1 - m * m) / 6) * (1.0 + (m * m - 4) / 15 * t_s * t_s)
     c = 0.5 * (m - 1)
-    g = np.empty(psi.shape, dtype=complex)
-    g.real = (re * c + im * half_s).reshape(psi.shape)
-    g.imag = (im * c - re * half_s).reshape(psi.shape)
-    return g
+    return _complex(re, im, psi.shape), _complex(re * c + im * half_s, im * c - re * half_s, psi.shape)
+
+
+def _complex(re: np.ndarray, im: np.ndarray, shape: tuple) -> np.ndarray:
+    """The complex array re + j*im, reshaped to ``shape``."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = re.reshape(shape), im.reshape(shape)
+    return z
 
 
 def _core(psi: np.ndarray, m: int) -> np.ndarray:
@@ -239,22 +244,19 @@ def f_gain_closed(cfg: ArrayConfig, v, x):
 
 
 def dirichlet_parts(cfg: ArrayConfig, v, x, out: np.ndarray) -> np.ndarray:
-    """Re D, Im D and |D|^2 of D_M(phi*(v - x)) in real arithmetic, into ``out``.
+    """The core's five rows of D_M(phi*(v - x)), into ``out``.
 
     With h = phi*(v - x)/2, D = exp(j*(M-1)*h) * sin(M*h)/sin(h), with the
-    limit M at h = 0 (see :func:`_dirichlet_rows`).  ``out`` is a float
-    array of shape (5,) + the broadcast shape of ``v`` and ``x``: rows 0-2
-    receive Re D, Im D and |D|^2, rows 3-4 are scratch.  No temporaries
-    are allocated unless some h reduces to exactly 0.
+    limit M at h = 0.  ``out`` is a float array of shape (5,) + the
+    broadcast shape of ``v`` and ``x``, left as :func:`_dirichlet_rows`
+    leaves it: Re D, Im D, the tangents tan(M*delta) and tan(delta), and a
+    scratch row.  No temporaries are allocated unless some h reduces to
+    exactly 0.
     """
     h = out[3]
     np.subtract(v, x, out=h)
     h *= 0.5 * cfg.phase_factor
-    re, im, mag2, scratch, _ = _dirichlet_rows(cfg.num_antennas, out)
-    np.multiply(re, re, out=mag2)
-    np.multiply(im, im, out=scratch)
-    mag2 += scratch
-    return out
+    return _dirichlet_rows(cfg.num_antennas, out)
 
 
 def _dirichlet_rows(m: int, out: np.ndarray) -> np.ndarray:

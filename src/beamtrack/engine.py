@@ -22,11 +22,13 @@ and Kalman steps still call ``np.sin`` and ``np.cos`` of their angle
 estimates.
 
 The two tracking kernels and the per-slot metrics share one Dirichlet kernel
-in real form (:func:`~beamtrack.arrays.dirichlet_parts`), written into
-per-chunk buffers: the update reads Im D, the metrics Re D and |D|^2.  With
-a static truth and ``cfg_track == cfg_data`` the metric kernel of slot i is
-the update kernel of slot i+1, so the trackers evaluate one Dirichlet per
-static slot (two per slot on a moving trajectory).
+in real form (:func:`~beamtrack.arrays.dirichlet_parts`), the core's five
+rows written into one per-chunk buffer: the update reads Im D, the metrics
+Re D and Im D, from which they form |D|^2.  With a static truth and
+``cfg_track == cfg_data`` the metric kernel of slot i is the update kernel
+of slot i+1, so the trackers evaluate one Dirichlet per static slot (two per
+slot on a moving trajectory).  The Kalman filter takes its predicted pilot
+and its Jacobian from one :func:`~beamtrack.arrays.weighted_dirichlet` call.
 
 The compressed-sensing sounder keeps per trial a statistic of size M in place
 of its 1024-atom correlation: the probe-weighted sum of its soundings and the
@@ -446,9 +448,10 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     rho = setup.rho
     beta = setup.beta
 
-    # Re D, Im D, |D|^2 of the last kernel evaluated, and two scratch rows
+    # the five core rows of the last kernel evaluated: Re D, Im D, the two
+    # tangents and a scratch row
     kernel = np.empty((5, n_trials))
-    re_d, im_d, mag2_d = kernel[:3]
+    im_d = kernel[1]
 
     # The tracking update reads f(v, x) = -Im D_M(phi*(v - x))/sqrt(M).  With a
     # static truth and one array, slot i's metric kernel at (x_hat_{i+1} - x)
@@ -578,11 +581,11 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             sgn = 1.0 if i % 2 == 0 else -1.0
             vp = np.sin(_clip(th + sgn * KF_OFFSET_RAD, -_HALF_PI, _HALF_PI))
             y = observe(vp, x_n) + w_n
-            xp = np.sin(th)
-            jac = -1j * phi * np.cos(th) * weighted_dirichlet(phi * (vp - xp), m) / math.sqrt(m)
+            d, g = weighted_dirichlet(phi * (vp - np.sin(th)), m)
+            jac = -1j * phi * np.cos(th) * g / math.sqrt(m)
             jac2 = jac.real**2 + jac.imag**2
             p_var = 1.0 / (1.0 / (p_var + q) + jac2 / r_var)
-            th = th + (p_var / r_var) * (jac.conj() * (y - observe(vp, xp))).real
+            th = th + (p_var / r_var) * (jac.conj() * (y - d / math.sqrt(m))).real
             _clip(th, -_HALF_PI, _HALF_PI)  # a diverged estimate is pinned at endfire
             th[np.isnan(th)] = 0.0
             return np.sin(th)
@@ -599,7 +602,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             x_hat = estimate
             dirichlet_parts(cfg_d, x_hat, x_n, kernel)
             asin_x = np.arcsin(x_n) if asin_xs is None else asin_xs[..., i]
-            write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, re_d, mag2_d, beta, rho)
+            write_slot_metrics(values, cfg_d, x_hat, x_n, asin_x, kernel, beta, rho)
         stats.record(i, values)
         if i >= excursion_from:
             np.logical_or(excursion, values[_AOA] > excursion_deg, out=excursion)

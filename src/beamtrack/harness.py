@@ -183,6 +183,10 @@ def _type_problem(hint, value) -> str | None:
     return f"must be {what}, got {value!r}"
 
 
+# the admitted magnitudes of alpha, pilot and beta
+MAGNITUDE_RANGE = (1e-50, 1e50)
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
@@ -214,10 +218,17 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"n_trials: must lie in [1, 2**32], got {spec.n_trials!r}")
     if spec.n_slots < 1:
         raise ConfigError("n_slots: must be >= 1")
-    if abs(spec.pilot) == 0:
-        raise ConfigError("pilot: must be nonzero")
-    if spec.beta == 0:
-        raise ConfigError("beta: must be nonzero")
+    # inside this range alpha**2, |pilot*beta|**2/rho and the squared
+    # deviations of the reported MSE stay finite, and |pilot|**2 nonzero, at
+    # every admitted SNR: alpha = 1e200 overflowed, and |pilot| = 1e-200
+    # squared to 0
+    lo, hi = MAGNITUDE_RANGE
+    if spec.alpha is not None and not lo <= spec.alpha <= hi:
+        raise ConfigError(f"alpha: must lie in [{lo:g}, {hi:g}], got {spec.alpha!r}")
+    for name in ("pilot", "beta"):
+        value = getattr(spec, name)
+        if not lo <= abs(value) <= hi:
+            raise ConfigError(f"{name}: |{name}| must lie in [{lo:g}, {hi:g}], got {value!r}")
     for k, algo in enumerate(spec.algorithms):
         if algo in spec.algorithms[:k]:
             raise ConfigError(f"algorithms: {algo!r} is listed twice")
@@ -229,8 +240,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
             )
     if spec.x is not None and not -1.0 <= spec.x <= 1.0:
         raise ConfigError("x: must lie in [-1, 1]")
-    if spec.alpha is not None and not spec.alpha > 0:
-        raise ConfigError("alpha: must be > 0")
     if spec.n0 < 0:
         raise ConfigError("n0: must be >= 0")
     if spec.kf_q is not None and spec.kf_q < 0:

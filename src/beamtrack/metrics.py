@@ -52,12 +52,16 @@ def capacity(cfg: ArrayConfig, rho: float) -> float:
     return float(rate_bits(rho * cfg.num_antennas))
 
 
-def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d, mag2_d, beta: complex, rho: float):
+def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, kernel, beta: complex, rho: float):
     """Fill the METRIC_NAMES rows of ``out`` in place for estimates ``x_hat``
-    in [-1, 1] of ``x``, given ``asin_x`` = asin(x) and the real part and
-    squared modulus of D_M(phi*(x_hat - x)) on the data array ``cfg``."""
+    in [-1, 1] of ``x``, given ``asin_x`` = asin(x) and ``kernel``, the five
+    rows of D_M(phi*(x_hat - x)) on the data array ``cfg`` as
+    :func:`~beamtrack.arrays.dirichlet_parts` leaves them.  |D|^2 is formed
+    here, in the rate row, with row 4 as scratch; rows 0-3 are left as they
+    are."""
     m = cfg.num_antennas
     mse_h, mse_x, aoa, rate = out
+    re_d, im_d, _, _, scratch = kernel
     np.multiply(re_d, -2.0, out=mse_h)
     mse_h += 2.0 * m
     mse_h *= abs(beta) ** 2
@@ -67,7 +71,9 @@ def write_slot_metrics(out: np.ndarray, cfg: ArrayConfig, x_hat, x, asin_x, re_d
     aoa -= asin_x
     np.abs(aoa, out=aoa)
     aoa *= 180.0 / math.pi
-    np.multiply(mag2_d, rho, out=rate)
+    np.multiply(re_d, re_d, out=rate)
+    rate += np.multiply(im_d, im_d, out=scratch)
+    rate *= rho
     rate /= m
     rate_bits(rate, out=rate)
 
@@ -93,9 +99,9 @@ def slot_metrics(cfg: ArrayConfig, x_hat, x, beta: complex, rho: float) -> dict:
     x_hat, x = np.broadcast_arrays(np.asarray(x_hat, dtype=float), np.asarray(x, dtype=float))
     shape = x.shape
     x_hat, x = x_hat.reshape(-1), x.reshape(-1)
-    re_d, _, mag2_d = dirichlet_parts(cfg, x_hat, x, np.empty((5, x.size)))[:3]
+    kernel = dirichlet_parts(cfg, x_hat, x, np.empty((5, x.size)))
     values = np.empty((len(METRIC_NAMES), x.size))
-    write_slot_metrics(values, cfg, x_hat, x, np.arcsin(x), re_d, mag2_d, beta, rho)
+    write_slot_metrics(values, cfg, x_hat, x, np.arcsin(x), kernel, beta, rho)
     return dict(zip(METRIC_NAMES, values.reshape((len(METRIC_NAMES),) + shape)))
 
 

@@ -217,7 +217,7 @@ def kf_step(cfg, snr, channel, theta, p_var, q, slot, rng):
     p_pred = p_var + q
     x_pred = math.sin(theta)
     z_pred = complex(matched_response(cfg, v_probe, x_pred))
-    g = complex(weighted_dirichlet(cfg.phase_factor * (v_probe - x_pred), cfg.num_antennas))
+    g = complex(weighted_dirichlet(cfg.phase_factor * (v_probe - x_pred), cfg.num_antennas)[1])
     jac = -1j * cfg.phase_factor * math.cos(theta) * g / math.sqrt(cfg.num_antennas)
     r = 1.0 / (2.0 * snr.rho)
     p_var = 1.0 / (1.0 / p_pred + (jac.real**2 + jac.imag**2) / r)
@@ -372,7 +372,7 @@ def cs_means(setup, trial_lo, trial_hi):
     kernel = np.empty((5, trial_hi - trial_lo))
     for i in range(setup.n_slots):
         x_n = xs[..., i]
-        re_d, _, mag2_d = dirichlet_parts(cfg, x_hat[:, i], x_n, kernel)[:3]
-        write_slot_metrics(values, cfg, x_hat[:, i], x_n, np.arcsin(x_n), re_d, mag2_d, setup.beta, setup.rho)
+        dirichlet_parts(cfg, x_hat[:, i], x_n, kernel)
+        write_slot_metrics(values, cfg, x_hat[:, i], x_n, np.arcsin(x_n), kernel, setup.beta, setup.rho)
         stats.record(i, values)
     return stats.series(), x_hat[:, -1]

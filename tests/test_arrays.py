@@ -14,6 +14,7 @@ from beamtrack.arrays import (
     conjugate_beamformer,
     cophased_beam,
     dirichlet,
+    _dirichlet_rows,
     dirichlet_parts,
     f_gain,
     f_gain_closed,
@@ -186,7 +187,7 @@ class TestDirichletKernels:
             psi = np.concatenate([rng.uniform(-8, 8, 64), [0.0, 1e-9]])
             k = np.arange(m)
             direct = (k * np.exp(1j * np.outer(psi, k))).sum(axis=1)
-            np.testing.assert_allclose(weighted_dirichlet(psi, m), direct, atol=1e-6)
+            np.testing.assert_allclose(weighted_dirichlet(psi, m)[1], direct, atol=1e-6)
 
     @pytest.mark.parametrize("m", [2, 3, 8, 12, 16, 33, 64])
     def test_weighted_dirichlet_matches_the_direct_sum(self, m):
@@ -196,24 +197,31 @@ class TestDirichletKernels:
         lobes = [k * math.pi + sign * offsets for k in (-4, -2, 0, 2, 4) for sign in (1, -1)]
         psi = np.concatenate([np.linspace(-4 * math.pi - 1, 4 * math.pi + 1, 2001), *lobes])
         re, im = direct_sum(psi, m, power=1)
-        g = weighted_dirichlet(psi, m)
+        g = weighted_dirichlet(psi, m)[1]
         assert np.abs(g.real - re).max() <= 1e-13 * m * m
         assert np.abs(g.imag - im).max() <= 1e-13 * m * m
 
     def test_weighted_dirichlet_keeps_the_shape_of_psi(self):
         psi = np.linspace(-3, 3, 6)
-        assert weighted_dirichlet(1.0, 4).shape == ()
-        np.testing.assert_array_equal(
-            weighted_dirichlet(psi.reshape(2, 3), 4), weighted_dirichlet(psi, 4).reshape(2, 3)
-        )
-        # a NaN leaves the limit m*(m-1)/2 at psi = 2*pi*k in place
-        np.testing.assert_array_equal(
-            weighted_dirichlet([math.nan, 0.0, 2 * math.pi], 4), [complex(math.nan, math.nan), 6.0, 6.0]
-        )
+        assert [k.shape for k in weighted_dirichlet(1.0, 4)] == [(), ()]
+        for flat, square in zip(weighted_dirichlet(psi, 4), weighted_dirichlet(psi.reshape(2, 3), 4)):
+            np.testing.assert_array_equal(square, flat.reshape(2, 3))
+        # a NaN leaves the limits m and m*(m-1)/2 at psi = 2*pi*k in place
+        d, g = weighted_dirichlet([math.nan, 0.0, 2 * math.pi], 4)
+        np.testing.assert_array_equal(d, [complex(math.nan, math.nan), 4.0, 4.0])
+        np.testing.assert_array_equal(g, [complex(math.nan, math.nan), 6.0, 6.0])
+
+    def test_weighted_dirichlet_returns_the_dirichlet_bits(self):
+        # the KF's predicted pilot is D from the call that gives it G
+        psi = np.concatenate([np.linspace(-9.0, 9.0, 1001), 2 * math.pi * np.arange(-3, 4), [math.nan, 1e-300]])
+        for m in (2, 3, 8, 12, 16, 33):
+            d, _ = weighted_dirichlet(psi, m)
+            assert np.array_equal(d, dirichlet(psi, m), equal_nan=True)
 
 
 class TestDirichletParts:
-    """The real form (Re D, Im D, |D|^2) of the complex kernel."""
+    """The real form (the core's rows: Re D, Im D, the two tangents) of the
+    complex kernel; |D|^2 is rows[0]**2 + rows[1]**2, as the metrics form it."""
 
     @pytest.mark.parametrize("spacing", [0.5, 0.37])
     @pytest.mark.parametrize("m", [2, 3, 8, 16, 64])
@@ -236,7 +244,7 @@ class TestDirichletParts:
         tol = 1e-12 * m + 4 * np.finfo(float).eps * m * np.abs(h) / np.maximum(np.abs(np.sin(h)), 1e-9)
         assert np.all(np.abs(parts[0] - d.real) <= tol)
         assert np.all(np.abs(parts[1] - d.imag) <= tol)
-        assert np.all(np.abs(parts[2] - (d.real**2 + d.imag**2)) <= 2 * m * tol)
+        assert np.all(np.abs(parts[0] ** 2 + parts[1] ** 2 - (d.real**2 + d.imag**2)) <= 2 * m * tol)
 
     # 99.9th-percentile errors (Re D, Im D, |D|^2) of the form
     # exp(j*(M-1)*h)*sin(M*h)/sin(h) with libm's sin and cos, on the dense
@@ -260,7 +268,8 @@ class TestDirichletParts:
         re, im = direct_sum(cfg.phase_factor * u, m)
         parts = dirichlet_parts(cfg, u, 0.0, np.empty((5, u.size)))
         refs = (re, im, re**2 + im**2)
-        for row, ref, p999, scale in zip(parts, refs, self.SINE_FORM_P999[m], (m, m, m * m)):
+        rows = (parts[0], parts[1], parts[0] ** 2 + parts[1] ** 2)
+        for row, ref, p999, scale in zip(rows, refs, self.SINE_FORM_P999[m], (m, m, m * m)):
             assert np.abs(row - ref).max() <= 2 * p999 + 4 * EPS * scale
 
     @pytest.mark.parametrize("m", [12, 16, 33])
@@ -272,6 +281,20 @@ class TestDirichletParts:
         parts = dirichlet_parts(cfg, u, 0.0, np.empty((5, u.size)))
         assert np.abs(parts[0] - re).max() <= 1e-12
         assert np.abs(parts[1] - im).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 12, 16, 33])
+    def test_leaves_the_core_rows(self, m):
+        # one layout from the core to the metrics: rows 2-3 keep the tangents
+        cfg = ArrayConfig(m, 0.5)
+        rng = np.random.default_rng(m)
+        v = np.concatenate([rng.uniform(-1, 1, 300), [0.25, 0.25 + 1e-12, -1.0, 1.0]])
+        x = np.concatenate([rng.uniform(-1, 1, 300), [0.25, 0.25, 1.0, -1.0]])
+        parts = dirichlet_parts(cfg, v, x, np.empty((5, v.size)))
+        core = np.empty((5, v.size))
+        np.subtract(v, x, out=core[3])
+        core[3] *= 0.5 * cfg.phase_factor
+        _dirichlet_rows(m, core)
+        assert np.array_equal(parts[:4], core[:4])
 
     def test_fills_a_preallocated_buffer_without_temporaries(self):
         # the engine's slot loop evaluates the kernel into one (5, T) buffer

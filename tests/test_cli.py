@@ -156,6 +156,27 @@ class TestConfigHandling:
         assert code == 2
         assert "m_data" in err
 
+    @pytest.mark.parametrize(
+        "command, config, argv, field",
+        [
+            ("theory", {}, ["--alpha", "1e200"], "alpha"),
+            ("static", {"beta": [1e160, 0]}, [], "beta"),
+            ("static", {"pilot": [1e160, 0]}, [], "pilot"),
+            ("static", {"pilot": [1e100, 0], "beta": [1e100, 0]}, [], "pilot"),
+            ("static", {"pilot": [1e-200, 0]}, [], "pilot"),
+            ("crlb", {"pilot": [1e-200, 0]}, [], "pilot"),
+        ],
+    )
+    def test_magnitude_out_of_range_exits_2_naming_field(self, capsys, tmp_path, command, config, argv, field):
+        # alpha**2 and |pilot*beta|**2 once overflowed (exit 1), and |pilot|**2
+        # underflowed to a zero pilot power (exit 1)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--m", "8", "--seed", "1", "--config", str(cfg), *argv)
+        assert code == 2
+        assert err.startswith(f"error: {field}:"), err
+        assert out == ""
+
     def test_override_wins_over_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"m_data": 8, "snr_db": 0.0, "seed": 3}))

@@ -226,18 +226,23 @@ class TestNoiseBlocks:
         }
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Calls to the engine's real-form Dirichlet kernel."""
+def count_calls(monkeypatch, name):
+    """The list that each call to the engine's ``name`` appends to."""
     calls = []
-    original = engine.dirichlet_parts
+    original = getattr(engine, name)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "dirichlet_parts", counting)
+    monkeypatch.setattr(engine, name, counting)
     return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls to the engine's real-form Dirichlet kernel."""
+    return count_calls(monkeypatch, "dirichlet_parts")
 
 
 class TestOneDirichletPerStaticSlot:
@@ -275,6 +280,21 @@ class TestOneDirichletPerStaticSlot:
         np.testing.assert_array_equal(static.stats.mean, moving.stats.mean)
         np.testing.assert_array_equal(static.stats.m2, moving.stats.m2)
         np.testing.assert_array_equal(static.extras["final_estimate"], moving.extras["final_estimate"])
+
+
+class TestKalmanKernelCalls:
+    N_SLOTS = 25
+
+    @pytest.mark.parametrize("model", [dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3)])
+    def test_one_core_call_per_slot_on_the_probe_argument(self, monkeypatch, model):
+        # the stage-1 sweep and each slot's observed pilot call dirichlet; the
+        # predicted pilot comes with the Jacobian from weighted_dirichlet
+        calls = {name: count_calls(monkeypatch, name) for name in ("dirichlet", "weighted_dirichlet")}
+        run_chunk(base_setup(algorithm="kf", model=model, n_slots=self.N_SLOTS), 0, 6)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "dirichlet": 1 + self.N_SLOTS,
+            "weighted_dirichlet": self.N_SLOTS,
+        }
 
 
 class TestLsStaticSteering:

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import decimal
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import beamtrack
 from beamtrack import analysis, dynamics, harness
-from beamtrack.arrays import ArrayConfig, conjugate_beamformer
+from beamtrack.arrays import ArrayConfig, conjugate_beamformer, dirichlet_parts
 from beamtrack.cli import main as cli_main
 from beamtrack.engine import ALGORITHMS, TrialSetup, run_chunk
 from beamtrack.harness import (
@@ -34,6 +35,7 @@ from beamtrack.metrics import (
     capacity,
     rate_bits,
     slot_metrics,
+    write_slot_metrics,
 )
 
 import reference
@@ -77,6 +79,19 @@ class TestMetrics:
     def test_rate_is_snr_over_ln2_below_1e_17(self):
         snr = np.array([0.0, 5e-324, 1e-300, 1e-30, 9.99e-18])
         assert np.array_equal(rate_bits(snr), snr / math.log(2.0))
+
+    def test_rate_row_is_the_rate_of_the_squared_modulus(self):
+        # |D|^2 is formed in the rate row from the kernel's Re D and Im D,
+        # which stay intact with the tangents for the next slot's update
+        cfg, rho = ArrayConfig(12, 0.5), 10.0
+        x_hat, x = np.random.default_rng(5).uniform(-1, 1, (2, 257))
+        kernel = dirichlet_parts(cfg, x_hat, x, np.empty((5, x.size)))
+        rows = kernel[:4].copy()
+        re, im = rows[:2]
+        values = np.empty((len(METRIC_NAMES), x.size))
+        write_slot_metrics(values, cfg, x_hat, x, np.arcsin(x), kernel, BETA, rho)
+        assert np.array_equal(values[METRIC_NAMES.index("rate")], rate_bits((re * re + im * im) * rho / 12))
+        assert np.array_equal(kernel[:4], rows)
 
     def test_closed_forms_match_direct(self):
         cfg = ArrayConfig(16, 0.5)
@@ -650,10 +665,11 @@ class TestAggregation:
 
 
 HALF_PI = 0.5 * math.pi
+# alpha, |pilot| and |beta| log-uniform across MAGNITUDE_RANGE and just past its ends
+_MAGNITUDE = st.floats(-51.0, 51.0).map(lambda e: 10.0**e)
+_COMPLEX = st.tuples(_MAGNITUDE, st.floats(-math.pi, math.pi)).map(lambda t: cmath.rect(*t))
 # every spec field at tiny sizes: most draws are valid, the rest are rejected
-# (a baseline on a sub-array, an omega past the bound, ...).  alpha,
-# pilot and beta keep moderate magnitudes: past about 1e150, alpha**2 and
-# |pilot*beta|^2 overflow, a known defect
+# (a baseline on a sub-array, an omega past the bound, ...)
 _SPEC_FIELDS = st.fixed_dictionaries(
     {
         "kind": st.sampled_from(KINDS),
@@ -669,11 +685,11 @@ _SPEC_FIELDS = st.fixed_dictionaries(
         "m_track": st.integers(2, 8),
         "spacing_ratio": st.floats(0.05, 2.0),
         "stage1_snr_db": st.floats(-300.0, 300.0),
-        "pilot": st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        "beta": st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        "pilot": _COMPLEX,
+        "beta": _COMPLEX,
         "no_noise": st.booleans(),
         "schedule": st.sampled_from(["diminishing", "fixed"]),
-        "alpha": st.floats(1e-6, 10.0),
+        "alpha": _MAGNITUDE,
         "n0": st.floats(0.0, 1e3),
         "x": st.floats(-1.0, 1.0),
         "m0": st.integers(2, 32),
@@ -727,13 +743,26 @@ class TestEverySpecKind:
     # the convergence bound's exp(L*(T + a_1)) once raised OverflowError here
     @example({"kind": "theory-diagnostics", "m_data": 8, "n_trials": 1, "n_slots": 1, "seed": 0, "snr_db": 10.0,
               "x": 0.0, "x0_hat": 0.05, "delta": 0.0499999999, "n0": 1e3})
+    # the ends of the magnitude range, at both ends of the SNR range
+    @example({"kind": "static-convergence", "m_data": 5, "n_trials": 3, "n_slots": 4, "seed": 1,
+              "snr_db": -300.0, "stage1_snr_db": 300.0, "algorithms": ALGORITHMS, "omegas": (0.1,),
+              "schedule": "fixed", "alpha": 1e50, "pilot": 1e-50j, "beta": 1e50 + 0j})
+    @example({"kind": "theory-diagnostics", "m_data": 8, "n_trials": 1, "n_slots": 3, "seed": 0,
+              "snr_db": 300.0, "omegas": (0.1,), "x": 0.0, "x0_hat": 0.05, "delta": 0.04, "n0": 10.0,
+              "alpha": 1e-50, "pilot": 1e50 + 0j, "beta": -1e-50j})
     def test_a_spec_is_rejected_naming_a_field_or_runs_soundly(self, fields):
+        lo, hi = harness.MAGNITUDE_RANGE
+        outside = [name for name in ("alpha", "pilot", "beta") if name in fields and not lo <= abs(fields[name]) <= hi]
+        for name in outside:
+            with pytest.raises(ConfigError, match=f"^{name}:"):
+                ExperimentSpec(kind="static-convergence", **{name: fields[name]})
         try:
             spec = ExperimentSpec(**fields)
         except ConfigError as exc:
             names = {f.name for f in dataclasses.fields(ExperimentSpec)} | {"omega_lo/omega_hi"}
             assert str(exc).split(":")[0] in names, str(exc)
             return
+        assert not outside, outside
         with tempfile.TemporaryDirectory() as out_dir:
             result = run_experiment(spec, out_dir)
             with open(os.path.join(out_dir, "metadata.json"), encoding="utf-8") as fh:
