@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -85,8 +85,19 @@ def initial_x(model: TrajectoryModel) -> float:
     return math.sin(model.theta0)
 
 
-def trajectory(model: TrajectoryModel, n_slots: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Spatial frequencies x_n for n = 1..n_slots."""
+def trajectory(
+    model: TrajectoryModel,
+    n_slots: int,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+) -> np.ndarray:
+    """Spatial frequencies x_n for n = 1..n_slots.
+
+    A jittered sinusoid draws its jitter from ``rng``.  Given a sequence of
+    T generators, it returns T realizations as a (T, n_slots) array: row t
+    is what ``rng[t]`` alone gives, bit for bit.  Each generator draws only
+    its jitter row, and the sinusoid and the final sine are computed once
+    for the whole block.  The other models ignore ``rng``.
+    """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
     if isinstance(model, Static):
@@ -94,11 +105,19 @@ def trajectory(model: TrajectoryModel, n_slots: int, rng: np.random.Generator | 
     if isinstance(model, SinusoidJitter):
         n = np.arange(1, n_slots + 1, dtype=float)
         theta = model.amplitude * np.sin(2.0 * math.pi * n / model.period)
+        batch = not (rng is None or isinstance(rng, np.random.Generator))
+        rngs = rng if batch else [rng]
+        theta = np.broadcast_to(theta, (len(rngs), n_slots))
         if model.jitter_std > 0:
             if rng is None:
                 raise ValueError("rng is required for SinusoidJitter")
-            theta = theta + model.jitter_std * rng.standard_normal(n_slots)
-        return np.sin(theta)
+            jitter = np.empty(theta.shape)
+            for row, r in zip(jitter, rngs):
+                r.standard_normal(out=row)
+            jitter *= model.jitter_std
+            theta = np.add(jitter, theta, out=jitter)
+        x = np.sin(theta)
+        return x if batch else x[0]
     theta = np.empty(n_slots)
     prev, delta = model.theta0, 1.0
     for i in range(n_slots):

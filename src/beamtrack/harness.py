@@ -298,27 +298,50 @@ class ExperimentResult:
 # chunked simulation
 
 
-def _chunk_size(algorithm: str, n_slots: int, per_trial_traj: bool, m: int) -> int:
+def _trial_bytes(algorithm: str, n_slots: int, model, m: int) -> int:
+    """Bytes of one trial's share of a chunk that grow with n_slots or M^2.
+
+    * the true x of a per-trial trajectory (8 B a slot);
+    * for CS, the int8 probe indices of every slot and of the M/2 warm-up
+      slots of a moving truth (``m`` B a slot);
+    * for CS, ``CsScorer.autocorrelation``'s pair product of a sounding and
+      the two gathers it is formed from (3 x 16 B x M(M-1)/2), formed
+      ``engine._CS_BLOCK`` trials at a time, so this overcounts a chunk of
+      more trials;
+    * for CS on a moving truth, the ring buffers of z and c over the last
+      M/2 soundings (M/2 x (2M - 1) x 16 B).
+
+    The M^2 terms come to 40*M^2 - 32*M B on a moving truth.  With
+    tracemalloc, a moving CS chunk's peak grew by 42*M^2 and 41*M^2 B per
+    trial from 32 to 64 trials at M = 64 and 128 (26*M^2 and 25*M^2 on a
+    static truth).
+    """
+    per_trial = 8 * n_slots if isinstance(model, dynamics.SinusoidJitter) else 0
+    if algorithm == "cs":
+        warm = m // 2 if model is not None and not isinstance(model, dynamics.Static) else 0
+        per_trial += m * (warm + n_slots) + 3 * 16 * (m * (m - 1) // 2) + warm * (2 * m - 1) * 16
+    return per_trial
+
+
+def _chunk_size(algorithm: str, n_slots: int, model, m: int) -> int:
     """Fixed chunking (independent of worker count) sized to bound memory.
 
-    ``run_chunk`` draws its tracking noise into one block of at most
-    ``engine._NOISE_BLOCK`` samples, so noise no longer grows with n_slots,
+    ``run_chunk`` draws its tracking noise into one block of at most about
+    ``engine._NOISE_BLOCK`` samples, so noise does not grow with n_slots,
     and every algorithm but CS takes 2048-trial chunks (CS keeps 128, so its
-    chunks balance a pool's workers).  The budget per trial and slot counts
-    only what still grows with n_slots: the true x of a per-trial trajectory
-    (8 B) and, for CS, the slot's int8 probe indices (``m`` B).
+    chunks balance a pool's workers).  The chunk halves, down to 8 trials,
+    while its trials' :func:`_trial_bytes` exceed a 2.7e8 B budget.
     """
+    per_trial = _trial_bytes(algorithm, n_slots, model, m)
     base = 128 if algorithm == "cs" else 2048
-    per_slot_bytes = (8 if per_trial_traj else 0) + (m if algorithm == "cs" else 0)
-    while base > 8 and base * per_slot_bytes * n_slots > 2.7e8:
+    while base > 8 and base * per_trial > 2.7e8:
         base //= 2
     return base
 
 
 def _chunk_bounds(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int):
     """Trial ranges [lo, hi) of one algorithm's fixed chunks."""
-    per_trial_traj = isinstance(model, dynamics.SinusoidJitter)
-    chunk = _chunk_size(algorithm, n_slots, per_trial_traj, spec.cfg_data.num_antennas)
+    chunk = _chunk_size(algorithm, n_slots, model, spec.cfg_data.num_antennas)
     return [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
 
 
@@ -401,8 +424,12 @@ def _chunk_plan(spec: ExperimentSpec) -> dict:
         return {}
     if spec.kind == "init-success-rate":
         return {"recursive": _chunk_bounds(spec, "recursive", None, spec.n_trials, 1)}
-    # only the dynamic kind can have a per-trial trajectory, which sets the chunk size
-    model = spec.build_model() if spec.kind == "dynamic-trajectory" else None
+    # a sweep or table search runs fixed velocities: the chunking reads only
+    # that the truth moves, not how fast
+    if spec.kind in ("velocity-sweep", "max-velocity-table"):
+        model = dynamics.FixedVelocity(0.0, spec.bound, spec.theta0)
+    else:
+        model = spec.build_model()
     return {a: _chunk_bounds(spec, a, model, spec.n_trials, spec.n_slots) for a in spec.algorithms}
 
 

@@ -45,6 +45,25 @@ class TestSinusoidJitter:
         x2 = trajectory(SinusoidJitter(), 500, np.random.default_rng(9))
         np.testing.assert_array_equal(x1, x2)
 
+    @pytest.mark.parametrize("jitter_std", [0.005, 0.0])
+    def test_block_of_generators_is_per_trial_calls(self, jitter_std):
+        # one call for T trials: row t is the call with rngs[t] alone, bit for bit
+        model = SinusoidJitter(period=70, jitter_std=jitter_std)
+        seeds = range(5)
+        block = trajectory(model, 333, [np.random.default_rng(s) for s in seeds])
+        assert block.shape == (5, 333)
+        for row, s in zip(block, seeds):
+            np.testing.assert_array_equal(row, trajectory(model, 333, np.random.default_rng(s)))
+
+    def test_block_draws_only_the_jitter_rows(self):
+        # each generator continues where its jitter row stopped
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        trajectory(SinusoidJitter(), 40, rngs)
+        for s, r in enumerate(rngs):
+            expected = np.random.default_rng(s)
+            expected.standard_normal(40)
+            assert r.bit_generator.state == expected.bit_generator.state
+
     def test_amplitude_limited_to_endfire(self):
         SinusoidJitter(amplitude=-math.pi / 2)
         for amplitude in (math.pi / 2 + 1e-9, -3.0):

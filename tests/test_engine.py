@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack import dynamics, engine
+from beamtrack import dynamics, engine, harness
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
 from beamtrack.metrics import METRIC_NAMES, slot_metrics
@@ -203,6 +203,21 @@ class TestNoiseBlocks:
                 assert res.extras[key].dtype == value.dtype, key
                 np.testing.assert_array_equal(res.extras[key], value, err_msg=key)
 
+    @pytest.mark.parametrize("model", [dynamics.Static(0.35), dynamics.SinusoidJitter(period=50)], ids=["static", "sinusoid"])
+    def test_cs_block_leaves_every_value(self, monkeypatch, model):
+        # CsScorer scores _CS_BLOCK trials per matrix product; a 100-trial
+        # chunk ends every block size mid-block
+        setup = base_setup(algorithm="cs", model=model, n_slots=30, excursion_threshold_rad=0.05)
+        default = run_chunk(setup, 0, 100)
+        for b in (16, 32, 64, 128):
+            monkeypatch.setattr(engine, "_CS_BLOCK", b)
+            res = run_chunk(setup, 0, 100)
+            np.testing.assert_array_equal(res.stats.mean, default.stats.mean)
+            np.testing.assert_array_equal(res.stats.m2, default.stats.m2)
+            for key, value in default.extras.items():
+                assert res.extras[key].dtype == value.dtype, key
+                np.testing.assert_array_equal(res.extras[key], value, err_msg=key)
+
     @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("no_noise", [False, True])
@@ -342,6 +357,25 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("model", [None, dynamics.SinusoidJitter()], ids=["uniform", "sinusoid"])
+    def test_cs_chunk_budget_counts_what_a_trial_adds(self, model):
+        # harness._trial_bytes is the budget's count of a CS trial; it should
+        # track the peak's growth per added trial at a large M, within one
+        # _CS_BLOCK (it read 0.91 and 0.95 of it: what it leaves out are a
+        # sounding's (T, M) arrays)
+        cfg = ArrayConfig(64, 0.5)
+        setup = base_setup(algorithm="cs", cfg_track=cfg, cfg_data=cfg, m0=128, model=model, n_slots=20)
+        peaks = []
+        for n_trials in (32, 64):
+            tracemalloc.start()
+            try:
+                run_chunk(setup, 0, n_trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        counted = harness._trial_bytes("cs", 20, model, 64)
+        assert 0.85 < counted / ((peaks[1] - peaks[0]) / 32) < 1.1
 
 
 class TestInitializationModes:

@@ -225,6 +225,8 @@ class TestDeterminism:
 
 
 class TestChunking:
+    MODELS = (None, dynamics.Static(0.3), dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter())
+
     def test_chunk_bounds_unchanged_up_to_10k_slots(self):
         # the chunk bounds set the merge order, hence the last bits of every
         # mean: every run of up to 10,000 slots keeps 2048-trial chunks, and
@@ -232,14 +234,23 @@ class TestChunking:
         for algorithm in ALGORITHMS:
             expected = 128 if algorithm == "cs" else 2048
             for n_slots in (1, 200, 2000, 10_000):
-                for per_trial_traj in (False, True):
+                for model in self.MODELS:
                     for m in (2, 8, 16, 64):
-                        assert _chunk_size(algorithm, n_slots, per_trial_traj, m) == expected
+                        assert _chunk_size(algorithm, n_slots, model, m) == expected
 
     def test_cs_budget_counts_probes(self):
         # 128 trials x 10,000 slots of 256 int8 probe indices is 328 MB
-        assert _chunk_size("cs", 10_000, False, 256) == 64
-        assert _chunk_size("recursive", 10_000, False, 256) == 2048
+        assert _chunk_size("cs", 10_000, None, 256) == 64
+        assert _chunk_size("recursive", 10_000, None, 256) == 2048
+
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "static", "fixed-velocity", "sinusoid"])
+    def test_cs_budget_counts_terms_in_m_squared(self, model):
+        # at M = 512 a 128-trial CS chunk holds 0.8 GB of pair products at
+        # any length, and 1.4 GB with a moving truth's ring buffers
+        assert _chunk_size("cs", 1, model, 512) < 128
+        assert _chunk_size("cs", 200, model, 512) < 128
+        assert _chunk_size("cs", 200, model, 16) == 128
+        assert _chunk_size("recursive", 200, model, 512) == 2048
 
 
 def count_simulate_calls(monkeypatch):
