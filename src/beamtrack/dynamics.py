@@ -96,7 +96,8 @@ def trajectory(
     T generators, it returns T realizations as a (T, n_slots) array: row t
     is what ``rng[t]`` alone gives, bit for bit.  Each generator draws only
     its jitter row, and the sinusoid and the final sine are computed once
-    for the whole block.  The other models ignore ``rng``.
+    for the whole block, the sine in place in the jitter block.  The other
+    models ignore ``rng``.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
@@ -116,7 +117,9 @@ def trajectory(
                 r.standard_normal(out=row)
             jitter *= model.jitter_std
             theta = np.add(jitter, theta, out=jitter)
-        x = np.sin(theta)
+        # the sine in place in the jitter buffer: a fresh (T, n) array for it
+        # doubled a jittered chunk's peak memory past what its budget counts
+        x = np.sin(theta, out=theta if model.jitter_std > 0 else None)
         return x if batch else x[0]
     theta = np.empty(n_slots)
     prev, delta = model.theta0, 1.0

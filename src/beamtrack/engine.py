@@ -11,6 +11,13 @@ an extended Kalman filter on the angle of arrival.  A single trial ``t`` is
 kernels) replace explicit steering-vector products, so a chunk of several
 hundred trials advances one slot in a handful of elementwise operations.
 
+A :class:`TrialSetup` states what every part of the chunk reads from it:
+``cfg``, the array the algorithm pilots (the tracking array of the two
+trackers, the data array of the baselines); ``moving``, whether slot i's
+truth depends on i; and ``warm``, the M/2 soundings CS makes before slot 0
+on a moving truth.  :func:`trial_bytes` counts, from the same properties,
+the bytes one trial adds to a chunk, which the harness's chunk budget reads.
+
 Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
 records the returned estimate's metrics, statistics and excursions.  Least
@@ -269,6 +276,49 @@ class TrialSetup:
         if self.x0_mode not in ("sweep", "fixed", "true"):
             raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
 
+    @property
+    def cfg(self) -> ArrayConfig:
+        """The array the algorithm pilots: the tracking array of the two
+        trackers, the data array of every baseline."""
+        return self.cfg_track if self.algorithm in ("recursive", "angular") else self.cfg_data
+
+    @property
+    def moving(self) -> bool:
+        """Whether slot i's truth depends on i: any model but a static one."""
+        return self.model is not None and not isinstance(self.model, dynamics.Static)
+
+    @property
+    def warm(self) -> int:
+        """Soundings CS makes before slot 0: M/2 on a moving truth, so its
+        first window is full; else 0."""
+        return self.cfg.num_antennas // 2 if self.algorithm == "cs" and self.moving else 0
+
+
+def trial_bytes(setup: TrialSetup) -> int:
+    """Bytes of one trial's share of a :func:`run_chunk` chunk that grow
+    with n_slots or M^2.
+
+    * the true x of a per-trial trajectory (8 B a slot);
+    * for CS, the int8 probe indices of every slot and of the warm-up
+      soundings (M B a slot);
+    * for CS, ``CsScorer.autocorrelation``'s pair product of a sounding and
+      the two gathers it is formed from (3 x 16 B x M(M-1)/2), formed
+      ``_CS_BLOCK`` trials at a time, so this overcounts a chunk of more
+      trials;
+    * for CS on a moving truth, the ring buffers of z and c over the last
+      M/2 soundings (M/2 x (2M - 1) x 16 B).
+
+    The M^2 terms come to 40*M^2 - 32*M B on a moving truth.  With
+    tracemalloc, a moving CS chunk's peak grew by 42*M^2 and 41*M^2 B per
+    trial from 32 to 64 trials at M = 64 and 128 (26*M^2 and 25*M^2 on a
+    static truth).
+    """
+    m, warm = setup.cfg.num_antennas, setup.warm
+    per_trial = 8 * setup.n_slots if isinstance(setup.model, dynamics.SinusoidJitter) else 0
+    if setup.algorithm == "cs":
+        per_trial += m * (warm + setup.n_slots) + 3 * 16 * (m * (m - 1) // 2) + warm * (2 * m - 1) * 16
+    return per_trial
+
 
 @dataclass
 class ChunkResult:
@@ -398,7 +448,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     if n_trials < 1:
         raise ValueError("empty trial range")
     n = setup.n_slots
-    cfg = setup.cfg_track if setup.algorithm in ("recursive", "angular") else setup.cfg_data
+    cfg = setup.cfg
     cfg_d = setup.cfg_data
     m = cfg.num_antennas
 
@@ -409,13 +459,12 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     # (2.8 MB) through the slot loop raised static-m16's peak RSS from 54.7
     # to 61.8 MB
     model = setup.model
-    per_slot_traj = model is not None and not isinstance(model, dynamics.Static)
     if model is None:
         x_true0 = np.array([r.uniform(-1.0, 1.0) for r in trial_streams(setup.base_seed, trials, TRAJECTORY)])
     else:
         x_true0 = np.full(n_trials, dynamics.initial_x(model))
     # asin(xs[..., i]) for the AoA error, taken once per distinct truth
-    if not per_slot_traj:
+    if not setup.moving:
         xs = np.broadcast_to(x_true0[:, None], (n_trials, n))
         asin_xs = np.broadcast_to(np.arcsin(x_true0)[:, None], (n_trials, n))
     elif isinstance(model, dynamics.FixedVelocity):
@@ -429,7 +478,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     # the stage-1 sweep and CS warm-up now; the slot loop fills ``noise``
     # K slots at a time
     noise_rngs = None if setup.no_noise else trial_streams(setup.base_seed, trials, NOISE)
-    warm = m // 2 if (setup.algorithm == "cs" and per_slot_traj) else 0
+    warm = setup.warm
     sigma = math.sqrt(0.5 / setup.rho)
     # np.zeros, though every entry is drawn: with np.empty a full experiment
     # peaked 0.15-0.3 MB higher in RSS
@@ -479,7 +528,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     # The tracking update reads f(v, x) = -Im D_M(phi*(v - x))/sqrt(M).  With a
     # static truth and one array, slot i's metric kernel at (x_hat_{i+1} - x)
     # is slot i+1's update kernel, so it is evaluated once for both.
-    reuse = not per_slot_traj and cfg == cfg_d
+    reuse = not setup.moving and cfg == cfg_d
     inv_sqrt_m = 1.0 / math.sqrt(m)
     im_y = np.empty(n_trials)
 
@@ -494,7 +543,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     # LS and CS read the truth's steering vectors: a static truth's are built
     # once for the chunk, a moving truth's every slot
     a_static = None
-    if setup.algorithm in ("ls", "cs") and not per_slot_traj:
+    if setup.algorithm in ("ls", "cs") and not setup.moving:
         a_static = steering_vector(cfg, x_true0)
 
     def truth_vectors(x_n):
@@ -529,7 +578,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         wt = sweep_matrix(cfg)
         buf = pb * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
         counts = np.ones(m)
-        accumulate = not per_slot_traj  # static mode averages every sweep
+        accumulate = not setup.moving  # static mode averages every sweep
 
         def step(i, x_n, w_n):
             j = i % m
@@ -548,7 +597,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
         probes = np.empty((n_trials, warm + n, m), dtype=np.int8)
         for k, r in enumerate(trial_streams(setup.base_seed, trials, ALGORITHM)):
             probes[k] = r.integers(0, 4, size=(warm + n, m))
-        window = m // 2 if per_slot_traj else 1  # static: one running sum
+        window = warm or 1  # the last M/2 soundings of a moving truth; static: one running sum
         ring_z = np.zeros((window, n_trials, m), dtype=complex)
         ring_c = np.zeros((window, n_trials, m - 1), dtype=complex)
 
@@ -558,7 +607,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             y = np.einsum("tm,tm->t", w.conj(), np.broadcast_to(truth_vectors(x_n), w.shape)) + noise_s
             z_s = y[:, None] * alpha
             c_s = scorer.autocorrelation(alpha)
-            if per_slot_traj:
+            if setup.moving:
                 ring_z[s % window] = z_s
                 ring_c[s % window] = c_s
             else:
@@ -570,7 +619,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
 
         def step(i, x_n, w_n):
             sound(warm + i, x_n, w_n)
-            count = window if per_slot_traj else i + 1
+            count = window if setup.moving else i + 1
             return scorer.pick(ring_z.sum(axis=0), ring_c.sum(axis=0), count)
 
     elif setup.algorithm == "wlan":

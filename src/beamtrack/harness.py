@@ -14,8 +14,13 @@ results as CSV.  Six experiment kinds are supported:
   mainlobe.
 * ``theory-diagnostics``: closed-form constants from the analysis module.
 
-Trials are split into fixed-size chunks.  Each chunk reports a per-slot
-(count, mean, M2) record of every metric, and the records are merged in chunk
+Every run, and the chunk plan that ``metadata.json`` records, takes its
+:class:`~beamtrack.engine.TrialSetup` from one builder, ``_trial_setup``,
+and its truth from ``ExperimentSpec.build_model``.  Trials are split into
+fixed-size chunks by one policy, ``_chunk_bounds``: 2048 trials (128 for CS),
+halved down to 8 while a chunk's :func:`~beamtrack.engine.trial_bytes`
+pass 2.7e8 B; the engine counts its own buffers.  Each chunk reports a
+per-slot (count, mean, M2) record of every metric, and the records are merged in chunk
 order with the pairwise update of Chan, Golub & LeVeque (1979), so the output
 is bitwise identical for any worker count and the standard errors do not
 suffer the cancellation of sum(v^2) - n*mean^2.
@@ -45,7 +50,7 @@ import numpy as np
 from . import analysis, dynamics
 from .arrays import ArrayConfig
 from .crlb import asymptotic_channel_crlb, max_fisher_information, min_crlb_x
-from .engine import ALGORITHMS, BASELINE_ALGORITHMS, MAX_TRIALS, ChunkResult, TrialSetup, run_chunk
+from .engine import ALGORITHMS, BASELINE_ALGORITHMS, MAX_TRIALS, ChunkResult, TrialSetup, run_chunk, trial_bytes
 from .metrics import METRIC_NAMES, SlotStats, capacity
 from .trackers import DiminishingStep, FixedStep, alpha_star
 
@@ -143,13 +148,20 @@ class ExperimentSpec:
             return DiminishingStep(self.resolved_alpha(), self.n0)
         return FixedStep(self.resolved_alpha())  # "fixed": validate_spec admits no other name
 
-    def build_model(self) -> dynamics.TrajectoryModel | None:
+    def build_model(self, omega: float | None = None) -> dynamics.TrajectoryModel | None:
+        """The truth the spec's runs simulate.
+
+        A sweep or table search runs a fixed velocity at each ``omega``; the
+        default, 0, serves its chunk plan, which reads only that the truth
+        moves.  A dynamic spec runs its own ``omega`` field and ignores the
+        argument.
+        """
         if self.kind in ("static-convergence", "init-success-rate"):
             return dynamics.Static(self.x) if self.x is not None else None
+        if self.kind != "dynamic-trajectory":
+            return dynamics.FixedVelocity(omega or 0.0, self.bound, self.theta0)
         if self.traj_kind == "sinusoid":
-            return dynamics.SinusoidJitter(
-                self.sinusoid_amplitude, self.sinusoid_period, self.sinusoid_jitter_std
-            )
+            return dynamics.SinusoidJitter(self.sinusoid_amplitude, self.sinusoid_period, self.sinusoid_jitter_std)
         return dynamics.FixedVelocity(self.omega, self.bound, self.theta0)
 
 
@@ -298,73 +310,33 @@ class ExperimentResult:
 # chunked simulation
 
 
-def _trial_bytes(algorithm: str, n_slots: int, model, m: int) -> int:
-    """Bytes of one trial's share of a chunk that grow with n_slots or M^2.
-
-    * the true x of a per-trial trajectory (8 B a slot);
-    * for CS, the int8 probe indices of every slot and of the M/2 warm-up
-      slots of a moving truth (``m`` B a slot);
-    * for CS, ``CsScorer.autocorrelation``'s pair product of a sounding and
-      the two gathers it is formed from (3 x 16 B x M(M-1)/2), formed
-      ``engine._CS_BLOCK`` trials at a time, so this overcounts a chunk of
-      more trials;
-    * for CS on a moving truth, the ring buffers of z and c over the last
-      M/2 soundings (M/2 x (2M - 1) x 16 B).
-
-    The M^2 terms come to 40*M^2 - 32*M B on a moving truth.  With
-    tracemalloc, a moving CS chunk's peak grew by 42*M^2 and 41*M^2 B per
-    trial from 32 to 64 trials at M = 64 and 128 (26*M^2 and 25*M^2 on a
-    static truth).
-    """
-    per_trial = 8 * n_slots if isinstance(model, dynamics.SinusoidJitter) else 0
-    if algorithm == "cs":
-        warm = m // 2 if model is not None and not isinstance(model, dynamics.Static) else 0
-        per_trial += m * (warm + n_slots) + 3 * 16 * (m * (m - 1) // 2) + warm * (2 * m - 1) * 16
-    return per_trial
-
-
-def _chunk_size(algorithm: str, n_slots: int, model, m: int) -> int:
-    """Fixed chunking (independent of worker count) sized to bound memory.
+def _chunk_bounds(setup: TrialSetup, n_trials: int):
+    """Trial ranges [lo, hi) of ``setup``'s fixed chunks, independent of the
+    worker count and sized to bound memory.
 
     ``run_chunk`` draws its tracking noise into one block of at most about
     ``engine._NOISE_BLOCK`` samples, so noise does not grow with n_slots,
     and every algorithm but CS takes 2048-trial chunks (CS keeps 128, so its
     chunks balance a pool's workers).  The chunk halves, down to 8 trials,
-    while its trials' :func:`_trial_bytes` exceed a 2.7e8 B budget.
+    while its trials' :func:`~beamtrack.engine.trial_bytes` exceed a 2.7e8 B
+    budget.
     """
-    per_trial = _trial_bytes(algorithm, n_slots, model, m)
-    base = 128 if algorithm == "cs" else 2048
-    while base > 8 and base * per_trial > 2.7e8:
-        base //= 2
-    return base
-
-
-def _chunk_bounds(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int):
-    """Trial ranges [lo, hi) of one algorithm's fixed chunks."""
-    chunk = _chunk_size(algorithm, n_slots, model, spec.cfg_data.num_antennas)
+    chunk = 128 if setup.algorithm == "cs" else 2048
+    while chunk > 8 and chunk * trial_bytes(setup) > 2.7e8:
+        chunk //= 2
     return [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
 
 
-def _run_chunk_task(args):
-    return run_chunk(*args)
+def _trial_setup(spec: ExperimentSpec, algorithm: str, model, n_slots: int, **trial) -> TrialSetup:
+    """The :class:`TrialSetup` of ``algorithm`` on ``model`` over ``n_slots``.
 
-
-def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, pool=None, **trial):
-    """Run all trials of one algorithm; returns the MetricSeries and
-    ``run_chunk``'s per-trial extras, concatenated in trial order.
-
-    The spec sets the array, SNR, signal, m0 and KF fields of the
-    :class:`TrialSetup`.  ``trial`` sets any other field: ``x0_mode``,
-    ``x0_value``, ``excursion_burn_in``, ``excursion_threshold_rad``, and
-    ``schedule`` (default: the spec's resolved schedule).
-
-    Given an executor as ``pool``, the chunks are queued on it at once and
-    the call returns a function of no arguments that waits for them and
-    returns the pair.  Otherwise the chunks run in this process, in order;
-    the call never opens a pool of its own (``run_experiment`` owns the pool).
+    The spec sets the array, SNR, signal, m0 and KF fields.  ``trial`` sets
+    any other field: ``x0_mode``, ``x0_value``, ``excursion_burn_in``,
+    ``excursion_threshold_rad``, and ``schedule`` (default: the spec's
+    resolved schedule).
     """
     trial = {"schedule": spec.resolved_schedule(), **trial}
-    setup = TrialSetup(
+    return TrialSetup(
         algorithm=algorithm,
         cfg_track=spec.cfg_track,
         cfg_data=spec.cfg_data,
@@ -381,8 +353,26 @@ def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots
         kf_p0=spec.kf_p0,
         **trial,
     )
-    bounds = _chunk_bounds(spec, algorithm, model, n_trials, n_slots)
-    tasks = [(setup, lo, hi) for lo, hi in bounds]
+
+
+def _run_chunk_task(args):
+    return run_chunk(*args)
+
+
+def simulate(spec: ExperimentSpec, algorithm: str, model, n_trials: int, n_slots: int, pool=None, **trial):
+    """Run all trials of one algorithm; returns the MetricSeries and
+    ``run_chunk``'s per-trial extras, concatenated in trial order.
+
+    The trials run the :func:`_trial_setup` of the spec, ``model``,
+    ``n_slots`` and ``trial``, in the chunks :func:`_chunk_bounds` gives it.
+
+    Given an executor as ``pool``, the chunks are queued on it at once and
+    the call returns a function of no arguments that waits for them and
+    returns the pair.  Otherwise the chunks run in this process, in order;
+    the call never opens a pool of its own (``run_experiment`` owns the pool).
+    """
+    setup = _trial_setup(spec, algorithm, model, n_slots, **trial)
+    tasks = [(setup, lo, hi) for lo, hi in _chunk_bounds(setup, n_trials)]
 
     if pool is not None:
         results = pool.map(_run_chunk_task, tasks)  # submits every chunk now
@@ -419,18 +409,14 @@ def _health(extras) -> dict:
 
 def _chunk_plan(spec: ExperimentSpec) -> dict:
     """Each simulated algorithm's chunk bounds [lo, hi) in the run of
-    ``spec``; a sweep or table search runs them once per velocity."""
+    ``spec``, from the setups its runner builds; a sweep or table search runs
+    them once per velocity."""
     if spec.kind == "theory-diagnostics":
         return {}
-    if spec.kind == "init-success-rate":
-        return {"recursive": _chunk_bounds(spec, "recursive", None, spec.n_trials, 1)}
-    # a sweep or table search runs fixed velocities: the chunking reads only
-    # that the truth moves, not how fast
-    if spec.kind in ("velocity-sweep", "max-velocity-table"):
-        model = dynamics.FixedVelocity(0.0, spec.bound, spec.theta0)
-    else:
-        model = spec.build_model()
-    return {a: _chunk_bounds(spec, a, model, spec.n_trials, spec.n_slots) for a in spec.algorithms}
+    init = spec.kind == "init-success-rate"
+    algorithms, n_slots = (("recursive",), 1) if init else (spec.algorithms, spec.n_slots)
+    model = spec.build_model()
+    return {a: _chunk_bounds(_trial_setup(spec, a, model, n_slots), spec.n_trials) for a in algorithms}
 
 
 def _queued_chunks(plan: dict, spec: ExperimentSpec) -> int:
@@ -532,17 +518,11 @@ def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
     return ExperimentResult(spec=spec, series=series, summary=summary, metadata={"health": health})
 
 
-def _fixed_velocity(spec: ExperimentSpec, algo: str, omega: float, pool):
-    """``simulate`` of ``algo`` on the fixed-velocity trajectory at ``omega``."""
-    model = dynamics.FixedVelocity(omega, spec.bound, spec.theta0)
-    return simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool)
-
-
 def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     table = []
     points = [(omega, algo) for omega in spec.omegas for algo in spec.algorithms]
-    queued = [_fixed_velocity(spec, algo, omega, pool) for omega, algo in points]
+    queued = [simulate(spec, a, spec.build_model(w), spec.n_trials, spec.n_slots, pool=pool) for w, a in points]
     for (omega, algo), got in zip(points, queued):
         s, _ = _wait(got)
         mean_rate = float(np.mean(s.rate))
@@ -561,7 +541,8 @@ def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
     evals = []
     for algo in spec.algorithms:
         def mean_rate(omega):
-            return float(np.mean(_wait(_fixed_velocity(spec, algo, omega, pool))[0].rate))
+            got = simulate(spec, algo, spec.build_model(omega), spec.n_trials, spec.n_slots, pool=pool)
+            return float(np.mean(_wait(got)[0].rate))
 
         lo, hi = spec.omega_lo, spec.omega_hi
         rate_hi = mean_rate(hi)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack import dynamics, engine, harness
+from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
 from beamtrack.metrics import METRIC_NAMES, slot_metrics
@@ -358,24 +358,38 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @staticmethod
+    def peak_growth_per_trial(setup, n_trials):
+        """Traced peak of a chunk of n_trials[1] trials less that of
+        n_trials[0], per added trial."""
+        peaks = []
+        for count in n_trials:
+            tracemalloc.start()
+            try:
+                run_chunk(setup, 0, count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return (peaks[1] - peaks[0]) / (n_trials[1] - n_trials[0])
+
     @pytest.mark.parametrize("model", [None, dynamics.SinusoidJitter()], ids=["uniform", "sinusoid"])
     def test_cs_chunk_budget_counts_what_a_trial_adds(self, model):
-        # harness._trial_bytes is the budget's count of a CS trial; it should
+        # engine.trial_bytes is the budget's count of a CS trial; it should
         # track the peak's growth per added trial at a large M, within one
         # _CS_BLOCK (it read 0.91 and 0.95 of it: what it leaves out are a
         # sounding's (T, M) arrays)
         cfg = ArrayConfig(64, 0.5)
         setup = base_setup(algorithm="cs", cfg_track=cfg, cfg_data=cfg, m0=128, model=model, n_slots=20)
-        peaks = []
-        for n_trials in (32, 64):
-            tracemalloc.start()
-            try:
-                run_chunk(setup, 0, n_trials)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        counted = harness._trial_bytes("cs", 20, model, 64)
-        assert 0.85 < counted / ((peaks[1] - peaks[0]) / 32) < 1.1
+        counted = engine.trial_bytes(setup)
+        assert 0.85 < counted / self.peak_growth_per_trial(setup, (32, 64)) < 1.1
+
+    def test_jittered_chunk_budget_counts_what_a_trial_adds(self):
+        # a jittered truth holds 8 B a slot per trial; a sine taken into a
+        # second (T, n) array doubles the peak's growth (ratio 0.505), one
+        # taken in place reads 0.922
+        setup = base_setup(model=dynamics.SinusoidJitter(), n_slots=2000)
+        counted = engine.trial_bytes(setup)
+        assert 0.85 < counted / self.peak_growth_per_trial(setup, (512, 1024)) < 1.1
 
 
 class TestInitializationModes:

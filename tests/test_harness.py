@@ -23,7 +23,8 @@ from beamtrack.harness import (
     ConfigError,
     ExperimentResult,
     ExperimentSpec,
-    _chunk_size,
+    _chunk_bounds,
+    _trial_setup,
     run_experiment,
     write_csv,
     write_result,
@@ -224,6 +225,14 @@ class TestDeterminism:
         assert r1.summary == r2.summary
 
 
+def chunk_size(algorithm, n_slots, model, m):
+    """Trials in each full chunk of ``algorithm`` on ``model`` with an
+    M-antenna array."""
+    setup = _trial_setup(ExperimentSpec(kind="static-convergence", m_data=m), algorithm, model, n_slots)
+    lo, hi = _chunk_bounds(setup, 2**20)[0]
+    return hi - lo
+
+
 class TestChunking:
     MODELS = (None, dynamics.Static(0.3), dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter())
 
@@ -236,21 +245,21 @@ class TestChunking:
             for n_slots in (1, 200, 2000, 10_000):
                 for model in self.MODELS:
                     for m in (2, 8, 16, 64):
-                        assert _chunk_size(algorithm, n_slots, model, m) == expected
+                        assert chunk_size(algorithm, n_slots, model, m) == expected
 
     def test_cs_budget_counts_probes(self):
         # 128 trials x 10,000 slots of 256 int8 probe indices is 328 MB
-        assert _chunk_size("cs", 10_000, None, 256) == 64
-        assert _chunk_size("recursive", 10_000, None, 256) == 2048
+        assert chunk_size("cs", 10_000, None, 256) == 64
+        assert chunk_size("recursive", 10_000, None, 256) == 2048
 
     @pytest.mark.parametrize("model", MODELS, ids=["uniform", "static", "fixed-velocity", "sinusoid"])
     def test_cs_budget_counts_terms_in_m_squared(self, model):
         # at M = 512 a 128-trial CS chunk holds 0.8 GB of pair products at
         # any length, and 1.4 GB with a moving truth's ring buffers
-        assert _chunk_size("cs", 1, model, 512) < 128
-        assert _chunk_size("cs", 200, model, 512) < 128
-        assert _chunk_size("cs", 200, model, 16) == 128
-        assert _chunk_size("recursive", 200, model, 512) == 2048
+        assert chunk_size("cs", 1, model, 512) < 128
+        assert chunk_size("cs", 200, model, 512) < 128
+        assert chunk_size("cs", 200, model, 16) == 128
+        assert chunk_size("recursive", 200, model, 512) == 2048
 
 
 def count_simulate_calls(monkeypatch):
@@ -638,6 +647,39 @@ class TestMetadata:
         if spec.kind == "static-convergence":
             assert 0 < expected["angular"]["init_in_mainlobe"] < spec.n_trials
             assert expected["angular"]["degenerate_slots"] > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # 130 trials give CS two chunks, so two workers open a pool
+            ExperimentSpec(kind="static-convergence", m_data=8, n_slots=3, n_trials=130, seed=2,
+                           algorithms=("recursive", "cs")),
+            ExperimentSpec(kind="dynamic-trajectory", m_data=8, n_slots=4, n_trials=130, seed=2,
+                           algorithms=("recursive", "cs"), sinusoid_period=50),
+            ExperimentSpec(kind="velocity-sweep", m_data=8, omegas=(0.0, 0.05), n_slots=3, n_trials=130,
+                           seed=2, algorithms=("recursive", "cs")),
+            ExperimentSpec(kind="max-velocity-table", m_data=8, omega_hi=0.3, omega_tol=0.1, n_slots=3,
+                           n_trials=130, seed=2, algorithms=("recursive", "cs")),
+            ExperimentSpec(kind="init-success-rate", m_data=8, n_trials=2100, seed=2),
+        ],
+        ids=["static", "dynamic", "sweep", "table", "init-rate"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_are_the_ranges_run_chunk_receives(self, spec, workers, monkeypatch):
+        # metadata.json's chunks come from the setups the runner builds
+        received = {}
+        original = harness.run_chunk
+
+        def recording(setup, lo, hi):
+            received.setdefault(setup.algorithm, set()).add((lo, hi))
+            return original(setup, lo, hi)
+
+        monkeypatch.setattr(harness, "run_chunk", recording)
+        monkeypatch.setattr(FakePool, "made", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        result = run_experiment(spec, workers=workers)
+        assert len(FakePool.made) == (workers > 1)
+        assert result.metadata["chunks"] == {algo: [list(b) for b in sorted(r)] for algo, r in received.items()}
 
 
 class TestAggregation:
