@@ -96,8 +96,10 @@ def trajectory(
     T generators, it returns T realizations as a (T, n_slots) array: row t
     is what ``rng[t]`` alone gives, bit for bit.  Each generator draws only
     its jitter row, and the sinusoid and the final sine are computed once
-    for the whole block, the sine in place in the jitter block.  The other
-    models ignore ``rng``.
+    for the whole block, the sine in place in the jitter block.  The block
+    is the first n_slots columns of a (T, n_slots + 1) array, so a slot's
+    column (``x[:, i]``) does not step a power of two times 4 KiB from row
+    to row.  The other models ignore ``rng``.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots!r}")
@@ -108,18 +110,21 @@ def trajectory(
         theta = model.amplitude * np.sin(2.0 * math.pi * n / model.period)
         batch = not (rng is None or isinstance(rng, np.random.Generator))
         rngs = rng if batch else [rng]
-        theta = np.broadcast_to(theta, (len(rngs), n_slots))
+        # padded (see the docstring): unpadded, a slot's T values fell into a
+        # few cache sets whenever n is a multiple of 512
+        x = np.empty((len(rngs), n_slots + 1))[:, :n_slots]
         if model.jitter_std > 0:
             if rng is None:
                 raise ValueError("rng is required for SinusoidJitter")
-            jitter = np.empty(theta.shape)
-            for row, r in zip(jitter, rngs):
+            for row, r in zip(x, rngs):
                 r.standard_normal(out=row)
-            jitter *= model.jitter_std
-            theta = np.add(jitter, theta, out=jitter)
-        # the sine in place in the jitter buffer: a fresh (T, n) array for it
-        # doubled a jittered chunk's peak memory past what its budget counts
-        x = np.sin(theta, out=theta if model.jitter_std > 0 else None)
+            x *= model.jitter_std
+            x += theta
+        else:
+            x[...] = theta
+        # the sine in place: a fresh (T, n) array for it doubled a jittered
+        # chunk's peak memory past what its budget counts
+        np.sin(x, out=x)
         return x if batch else x[0]
     theta = np.empty(n_slots)
     prev, delta = model.theta0, 1.0

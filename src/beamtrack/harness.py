@@ -29,7 +29,9 @@ With ``workers > 1`` an experiment opens one process pool of at most
 ``min(workers, chunks)`` processes and queues every algorithm's chunks on it
 (every velocity's too, in a sweep) before it reduces any; a table search
 reuses the pool across its bisection steps.  ``simulate`` opens no pool of
-its own: without one it runs its chunks in the calling process.
+its own: without one it runs its chunks in the calling process.  Only
+``_open_pool`` imports the pool machinery, so a run that opens no pool never
+loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 import os
 import platform
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,6 +429,15 @@ def _queued_chunks(plan: dict, spec: ExperimentSpec) -> int:
     return sum(counts) * (len(spec.omegas) if spec.kind == "velocity-sweep" else 1)
 
 
+def _open_pool(size: int):
+    """A process pool of ``size`` workers.  The pool machinery
+    (``concurrent.futures`` and ``multiprocessing``) is imported here, so a
+    run that opens no pool never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size)
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: int = 1) -> ExperimentResult:
     """Execute the experiment described by ``spec``.
 
@@ -442,12 +452,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
 
     With ``workers > 1`` and more than one chunk queued at once, the run opens
     one process pool of at most ``min(workers, chunks)`` processes for all of
-    its ``simulate`` calls.  If a chunk raises, the chunks still queued are
-    cancelled and the error propagates.
+    its ``simulate`` calls; only then is the pool machinery imported.  If a
+    chunk raises, the chunks still queued are cancelled and the error
+    propagates.
     """
     plan = _chunk_plan(spec)
     size = min(workers, _queued_chunks(plan, spec))
-    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    pool = _open_pool(size) if size > 1 else None
     try:
         result = _RUNNERS[spec.kind](spec, pool)
     finally:

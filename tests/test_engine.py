@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -346,8 +347,9 @@ class TestChunkMemory:
     @pytest.mark.parametrize("n_slots", [2000, 10_000])
     def test_noise_memory_does_not_grow_with_slots(self, n_slots):
         # the tracking noise is one reused block of engine._NOISE_BLOCK
-        # samples (8 MB), so a 2048-trial chunk peaks at about 13 MB at
-        # any length
+        # samples (8.4 MB with its padding), so a 2048-trial chunk peaks at
+        # about 10.6 MB at 2000 slots and 11.1 MB at 10,000, where the
+        # per-slot statistics have grown
         cfg = ArrayConfig(16, 0.5)
         setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=n_slots)
         tracemalloc.start()
@@ -357,6 +359,49 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize(
+        "algorithm, model",
+        [("recursive", None), ("ls", None), ("wlan", None), ("cs", dynamics.SinusoidJitter())],
+        ids=["recursive", "ls", "wlan", "cs-moving"],
+    )
+    def test_stage1_buffers_freed_before_the_noise_block(self, monkeypatch, algorithm, model):
+        # the head block of sweep and CS warm-up noise and the sweep's
+        # observations are gone when the tracking-noise block is first drawn,
+        # so they never sit beside it
+        stage1, live_at_block = [], []
+        draw, estimate = engine.draw_noise, engine.initial_estimate
+
+        def drawing(rngs, out):
+            if stage1:
+                live_at_block.append([ref() is not None for ref in stage1])
+            else:
+                stage1.append(weakref.ref(out))
+            return draw(rngs, out)
+
+        def estimating(cfg, sweep_obs, m0):
+            stage1.append(weakref.ref(sweep_obs))
+            return estimate(cfg, sweep_obs, m0)
+
+        monkeypatch.setattr(engine, "draw_noise", drawing)
+        monkeypatch.setattr(engine, "initial_estimate", estimating)
+        run_chunk(base_setup(algorithm=algorithm, model=model, n_slots=12), 0, 4)
+        assert live_at_block == [[False, False]]
+
+    def test_static_chunk_peaks_near_its_noise_block(self):
+        # a 2048 x 2000 static chunk: the noise block is 8.42 MB and the
+        # traced peak 10.55 MB; with the stage-1 buffers and the sweep's
+        # temporaries beside the block it read 12.68 MB
+        cfg = ArrayConfig(16, 0.5)
+        setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000)
+        block = 2048 * (engine._NOISE_BLOCK // 2048 + 1) * 16
+        tracemalloc.start()
+        try:
+            run_chunk(setup, 0, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - block < 3e6
 
     @staticmethod
     def peak_growth_per_trial(setup, n_trials):

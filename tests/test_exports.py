@@ -78,3 +78,13 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    # a run on one worker opens no pool, so only harness._open_pool imports
+    # concurrent.futures and multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamtrack.__file__)))
+    code = "import sys, beamtrack.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -304,9 +304,9 @@ class TestSimulateCallContract:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, how many chunks
-    are queued on it (in all, and when each one starts) and how it is shut
-    down; a chunk runs in-process when its result is read."""
+    """Stands in for ``harness._open_pool``: records the pool's size, how
+    many chunks are queued on it (in all, and when each one starts) and how
+    it is shut down; a chunk runs in-process when its result is read."""
 
     made = []
 
@@ -334,7 +334,7 @@ class TestExperimentPool:
     @pytest.fixture
     def pools(self, monkeypatch):
         FakePool.made = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness, "_open_pool", FakePool)
         return FakePool.made
 
     def test_one_pool_sized_by_the_experiments_chunks(self, pools):
@@ -676,7 +676,7 @@ class TestMetadata:
 
         monkeypatch.setattr(harness, "run_chunk", recording)
         monkeypatch.setattr(FakePool, "made", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness, "_open_pool", FakePool)
         result = run_experiment(spec, workers=workers)
         assert len(FakePool.made) == (workers > 1)
         assert result.metadata["chunks"] == {algo: [list(b) for b in sorted(r)] for algo, r in received.items()}
