@@ -11,8 +11,9 @@ Library layout:
 * :mod:`beamtrack.crlb` -- Fisher information and Cramer-Rao bounds.
 * :mod:`beamtrack.trackers` -- closed-form sweep codebook, dictionary
   projection and step-size schedules.
-* :mod:`beamtrack.dynamics` -- direction trajectory models, returned as
-  spatial frequency x = sin(theta).
+* :mod:`beamtrack.dynamics` -- direction trajectory models and every
+  decision about a truth: its start, whether it moves, whether it is drawn
+  per trial, and its layout in spatial frequency x = sin(theta).
 * :mod:`beamtrack.analysis` -- convergence theory diagnostics.
 * :mod:`beamtrack.metrics` -- per-slot metrics and their trial statistics.
 * :mod:`beamtrack.engine` -- the vectorized trial runner, the only

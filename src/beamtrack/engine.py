@@ -14,9 +14,10 @@ hundred trials advances one slot in a handful of elementwise operations.
 A :class:`TrialSetup` states what every part of the chunk reads from it:
 ``cfg``, the array the algorithm pilots (the tracking array of the two
 trackers, the data array of the baselines); ``moving``, whether slot i's
-truth depends on i; and ``warm``, the M/2 soundings CS makes before slot 0
-on a moving truth.  :func:`trial_bytes` counts, from the same properties,
-the bytes one trial adds to a chunk, which the harness's chunk budget reads.
+truth depends on i (:func:`dynamics.moving`); and ``warm``, the M/2
+soundings CS makes before slot 0 on a moving truth.  :func:`trial_bytes`
+counts, from the same properties, the bytes one trial adds to a chunk,
+which the harness's chunk budget reads.
 
 Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
@@ -45,18 +46,24 @@ the terms of the last M/2 soundings sit in a ring buffer and are summed
 afresh each slot, so no term is ever subtracted; a static run keeps running
 sums.
 
-Every kernel reads slot i's true spatial frequency as ``xs[..., i]``: a
-(T, n) broadcast view of the initial x in static and uniform-x runs, the
-per-trial (T, n) array of a jittered sinusoid, or the shared (n,) trajectory
-of a fixed velocity, whose steering vector is then built once per slot.  The
-receiver noise of the stage-1 sweep and the CS warm-up is one (T, M + warm-up)
-complex block; the tracking noise is drawn K slots at a time into one reused
-(T, K) block, K = min(n, ``_NOISE_BLOCK`` // T), and the slot loop hands
-each step its column ``w_n``.  Each block is scaled in place to its SNR, so a
-chunk's noise memory does not grow with n (all zeros in no-noise mode).  The
-tracking block is allocated only after stage 1 and the algorithm's set-up,
-once the head block and the sweep's observations are freed, so neither they
-nor stage 1's temporaries sit beside it: a 2048 x 2000 static chunk's traced
+Every kernel reads slot i's true spatial frequency as ``xs[..., i]``, and
+the stage-1 sweep reads the trials' start directions x0.  One
+:func:`dynamics.trajectory` call per chunk returns both, in the layout the
+model sets: a (T, n) broadcast view of x0 for a static truth, one (n,) row
+that every trial shares for a fixed velocity or an unjittered sinusoid
+(whose steering vector is then built once per slot), and per-trial (T, n)
+rows for a jittered sinusoid.  Past the Kalman filter's default process
+noise, the engine checks no model's type: it asks :func:`dynamics.per_trial`
+whether to build the trajectory streams, and takes the AoA error's asin
+once per distinct truth.  The receiver noise of the stage-1 sweep and the
+CS warm-up is one (T, M + warm-up) complex block; the tracking noise is
+drawn K slots at a time into one reused (T, K) block, K = min(n,
+``_NOISE_BLOCK`` // T), and the slot loop hands each step its column
+``w_n``.  Each block is scaled in place to its SNR, so a chunk's noise
+memory does not grow with n (all zeros in no-noise mode).  The tracking
+block is allocated only after stage 1 and the algorithm's set-up, once the
+head block and the sweep's observations are freed, so neither they nor
+stage 1's temporaries sit beside it: a 2048 x 2000 static chunk's traced
 peak fell from 12.7 to 10.6 MB, against an 8.4 MB tracking block.  The
 block is the first K columns of a (T, K + 1) array.  Without that padding
 sample a row is K*16 B, a power of two times 4 KiB at the usual chunk sizes
@@ -76,12 +83,12 @@ np.uint64)``, computed for every trial of a chunk at once by numpy's
 SeedSequence hash over uint32 arrays (trials below 2**32);
 ``tests/test_engine.py::TestNoiseDraw`` pins every stream's state to
 numpy's own.  A chunk builds only the children it reads: trajectory
-children for uniform-x and jittered-sinusoid truth, noise children when
-noise is on, algorithm children for CS.  Within each stream, draws occur
-in a canonical order (stage-1 sweep noise first, then one complex sample
-per slot), and a stream drawn in pieces continues where it stopped, so
-results are independent of chunk boundaries, noise block size and worker
-count.
+children where :func:`dynamics.per_trial` holds (a uniform-x or jittered
+truth), noise children when noise is on, algorithm children for CS.  Within
+each stream, draws occur in a canonical order (stage-1 sweep noise first,
+then one complex sample per slot), and a stream drawn in pieces continues
+where it stopped, so results are independent of chunk boundaries, noise
+block size and worker count.
 """
 
 from __future__ import annotations
@@ -258,10 +265,9 @@ class TrialSetup:
     rho: float
     stage1_rho: float
     beta: complex
-    pilot: complex
     no_noise: bool
     schedule: StepSizeSchedule
-    model: dynamics.TrajectoryModel | None  # None: static with per-trial uniform x
+    model: dynamics.TrajectoryModel
     n_slots: int
     m0: int
     base_seed: int
@@ -279,6 +285,7 @@ class TrialSetup:
             raise ValueError("n_slots must be >= 1")
         if self.x0_mode not in ("sweep", "fixed", "true"):
             raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
+        dynamics.moving(self.model)  # a TypeError for anything but a trajectory model
 
     @property
     def cfg(self) -> ArrayConfig:
@@ -288,8 +295,8 @@ class TrialSetup:
 
     @property
     def moving(self) -> bool:
-        """Whether slot i's truth depends on i: any model but a static one."""
-        return self.model is not None and not isinstance(self.model, dynamics.Static)
+        """Whether slot i's truth depends on i (:func:`dynamics.moving`)."""
+        return dynamics.moving(self.model)
 
     @property
     def warm(self) -> int:
@@ -302,7 +309,11 @@ def trial_bytes(setup: TrialSetup) -> int:
     """Bytes of one trial's share of a :func:`run_chunk` chunk that grow
     with n_slots or M^2.
 
-    * the true x of a per-trial trajectory (8 B a slot);
+    * the true x of a moving truth drawn per trial (8 B a slot): a jittered
+      sinusoid's rows, where :func:`dynamics.per_trial` holds.  A static
+      truth, drawn per trial or not, is a broadcast view of its (T,) start,
+      and a fixed velocity or an unjittered sinusoid one (n,) row that every
+      trial shares;
     * for CS, the int8 probe indices of every slot and of the warm-up
       soundings (M B a slot);
     * for CS, ``CsScorer.autocorrelation``'s pair product of a sounding and
@@ -318,7 +329,7 @@ def trial_bytes(setup: TrialSetup) -> int:
     static truth).
     """
     m, warm = setup.cfg.num_antennas, setup.warm
-    per_trial = 8 * setup.n_slots if isinstance(setup.model, dynamics.SinusoidJitter) else 0
+    per_trial = 8 * setup.n_slots if setup.moving and dynamics.per_trial(setup.model) else 0
     if setup.algorithm == "cs":
         per_trial += m * (warm + setup.n_slots) + 3 * 16 * (m * (m - 1) // 2) + warm * (2 * m - 1) * 16
     return per_trial
@@ -458,25 +469,21 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
 
     trials = range(trial_lo, trial_hi)
 
-    # --- trajectory: slot i's truth is xs[..., i] --------------------------
+    # --- truth: the stage-1 directions, and slot i's truth xs[..., i] ------
     # trajectory streams are dropped once drawn: holding a 2048-trial chunk's
     # (2.8 MB) through the slot loop raised static-m16's peak RSS from 54.7
     # to 61.8 MB
     model = setup.model
-    if model is None:
-        x_true0 = np.array([r.uniform(-1.0, 1.0) for r in trial_streams(setup.base_seed, trials, TRAJECTORY)])
-    else:
-        x_true0 = np.full(n_trials, dynamics.initial_x(model))
-    # asin(xs[..., i]) for the AoA error, taken once per distinct truth
+    rngs = trial_streams(setup.base_seed, trials, TRAJECTORY) if dynamics.per_trial(model) else None
+    x_true0, xs = dynamics.trajectory(model, n, n_trials, rngs)
+    del rngs
+    # asin(xs[..., i]) for the AoA error, taken once per distinct truth: per
+    # trial for a static truth, per slot for a shared row; per-trial rows
+    # take it in the slot loop
     if not setup.moving:
-        xs = np.broadcast_to(x_true0[:, None], (n_trials, n))
-        asin_xs = np.broadcast_to(np.arcsin(x_true0)[:, None], (n_trials, n))
-    elif isinstance(model, dynamics.FixedVelocity):
-        xs = dynamics.trajectory(model, n)  # shared (n,) array
-        asin_xs = np.arcsin(xs)
-    else:  # SinusoidJitter: per-trial jitter realizations, asin taken per slot
-        xs = dynamics.trajectory(model, n, trial_streams(setup.base_seed, trials, TRAJECTORY))
-        asin_xs = None
+        asin_xs = np.broadcast_to(np.arcsin(x_true0)[:, None], xs.shape)
+    else:
+        asin_xs = np.arcsin(xs) if xs.ndim == 1 else None
 
     # --- noise: blocks scaled in place, all zeros in no-noise mode ---------
     # the stage-1 sweep and CS warm-up now; the tracking block once stage 1
@@ -572,22 +579,20 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
             return np.sin(th, out=x_ang)
 
     elif setup.algorithm == "ls":
-        p = setup.pilot
-        pb = p * beta
         wt = sweep_matrix(cfg)
-        buf = pb * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
+        buf = beta * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
         counts = np.ones(m)
         accumulate = not setup.moving  # static mode averages every sweep
 
         def step(i, x_n, w_n):
             j = i % m
-            r_new = pb * (observe(dirs[j], x_n) + w_n)
+            r_new = beta * (observe(dirs[j], x_n) + w_n)
             if accumulate:
                 buf[:, j] += r_new
                 counts[j] += 1.0
             else:
                 buf[:, j] = r_new
-            h_hat = ((buf / counts) @ wt.T) / p
+            h_hat = (buf / counts) @ wt.T
             write_channel_metrics(values, h_hat, truth_vectors(x_n), beta, rho)
             return None
 

@@ -134,9 +134,12 @@ class ExperimentSpec:
         return ArrayConfig(self.m_data, self.spacing_ratio)
 
     def channel_crlb_limit(self) -> float:
-        """Limit of n*MSE(h) for the optimal tracker on the data array."""
-        sigma2 = abs(self.pilot * self.beta) ** 2 / self.rho
-        return asymptotic_channel_crlb(self.cfg_data, sigma2, abs(self.pilot) ** 2)
+        """Limit of n*MSE(h) for the optimal tracker on the data array.
+
+        The bound reads the pilot p only through sigma^2/|p|^2 =
+        |beta|^2/rho, so it is formed at unit pilot power.
+        """
+        return asymptotic_channel_crlb(self.cfg_data, abs(self.beta) ** 2 / self.rho, 1.0)
 
     def resolved_alpha(self) -> float:
         return self.alpha if self.alpha is not None else alpha_star(self.cfg_track)
@@ -149,8 +152,9 @@ class ExperimentSpec:
             return DiminishingStep(self.resolved_alpha(), self.n0)
         return FixedStep(self.resolved_alpha())  # "fixed": validate_spec admits no other name
 
-    def build_model(self, omega: float | None = None) -> dynamics.TrajectoryModel | None:
-        """The truth the spec's runs simulate.
+    def build_model(self, omega: float | None = None) -> dynamics.TrajectoryModel:
+        """The truth the spec's runs simulate; a static spec's ``x = None``
+        is ``Static(None)``, x drawn uniformly per trial.
 
         A sweep or table search runs a fixed velocity at each ``omega``; the
         default, 0, serves its chunk plan, which reads only that the truth
@@ -158,7 +162,7 @@ class ExperimentSpec:
         argument.
         """
         if self.kind in ("static-convergence", "init-success-rate"):
-            return dynamics.Static(self.x) if self.x is not None else None
+            return dynamics.Static(self.x)
         if self.kind != "dynamic-trajectory":
             return dynamics.FixedVelocity(omega or 0.0, self.bound, self.theta0)
         if self.traj_kind == "sinusoid":
@@ -231,10 +235,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"n_trials: must lie in [1, 2**32], got {spec.n_trials!r}")
     if spec.n_slots < 1:
         raise ConfigError("n_slots: must be >= 1")
-    # inside this range alpha**2, |pilot*beta|**2/rho and the squared
-    # deviations of the reported MSE stay finite, and |pilot|**2 nonzero, at
-    # every admitted SNR: alpha = 1e200 overflowed, and |pilot| = 1e-200
-    # squared to 0
+    # inside this range alpha**2, |beta|**2/rho and the squared deviations
+    # of the reported MSE stay finite at every admitted SNR: alpha = 1e200
+    # overflowed.  Nothing below the spec reads the pilot; it keeps the
+    # range it had when least squares scaled by it
     lo, hi = MAGNITUDE_RANGE
     if spec.alpha is not None and not lo <= spec.alpha <= hi:
         raise ConfigError(f"alpha: must lie in [{lo:g}, {hi:g}], got {spec.alpha!r}")
@@ -344,7 +348,6 @@ def _trial_setup(spec: ExperimentSpec, algorithm: str, model, n_slots: int, **tr
         rho=spec.rho,
         stage1_rho=spec.stage1_rho,
         beta=spec.beta,
-        pilot=spec.pilot,
         no_noise=spec.no_noise,
         model=model,
         n_slots=n_slots,

@@ -189,6 +189,12 @@ def _tracking_cfg(setup):
     return setup.cfg_track if setup.algorithm in ("recursive", "angular") else setup.cfg_data
 
 
+def truth(setup):
+    """One trial's start x0 and (n,) truth of a deterministic trajectory."""
+    x0, xs = dynamics.trajectory(setup.model, setup.n_slots, 1)
+    return float(x0[0]), np.broadcast_to(xs, (1, setup.n_slots))[0]
+
+
 def stage1(setup, trial):
     """Replay one trial's coarse sweep.
 
@@ -197,8 +203,9 @@ def stage1(setup, trial):
     """
     cfg = _tracking_cfg(setup)
     [noise_rng] = trial_streams(setup.base_seed, [trial], NOISE)
-    snr1 = SnrConfig(pilot=setup.pilot, rho=setup.stage1_rho, no_noise=setup.no_noise)
-    channel = ChannelState(dynamics.initial_x(setup.model), setup.beta)
+    # observe() returns the normalised pilot, which the pilot value leaves alone
+    snr1 = SnrConfig(pilot=1.0, rho=setup.stage1_rho, no_noise=setup.no_noise)
+    channel = ChannelState(truth(setup)[0], setup.beta)
     beams = [conjugate_beamformer(cfg, v) for v in codebook_directions(cfg)]
     obs = np.array([observe(cfg, w, channel, snr1, noise_rng) for w in beams])
     return obs, float(initial_estimate(cfg, obs, setup.m0)), noise_rng
@@ -235,14 +242,14 @@ def replay(setup, trial):
     cfg, cfg_d = _tracking_cfg(setup), setup.cfg_data
     m, n = cfg.num_antennas, setup.n_slots
     obs, x0_hat, rng = stage1(setup, trial)
+    x0, xs = truth(setup)
     if setup.x0_mode == "fixed":
         x0_hat = min(max(setup.x0_value, -1.0), 1.0)
     elif setup.x0_mode == "true":
-        x0_hat = dynamics.initial_x(setup.model)
+        x0_hat = x0
     elif setup.x0_mode != "sweep":
         raise ValueError(f"no reference for x0_mode {setup.x0_mode!r}")
-    snr = SnrConfig(pilot=setup.pilot, rho=setup.rho, no_noise=setup.no_noise)
-    xs = dynamics.trajectory(setup.model, n)
+    snr = SnrConfig(pilot=1.0, rho=setup.rho, no_noise=setup.no_noise)
     dirs = codebook_directions(cfg)
 
     est = math.asin(x0_hat) if algo in ("angular", "kf") else x0_hat
@@ -299,7 +306,7 @@ def cs_chunk(setup, trial_lo, trial_hi):
     trajectory, one sample per slot), then (warm-up + n) x M probe indices.
 
     Returns the (T, n) per-slot estimates and the true x: (n,) for a
-    ``FixedVelocity`` trajectory shared by every trial, else (T, n).
+    trajectory shared by every trial, else (T, n).
     """
     cfg = setup.cfg_data
     m, n, phi = cfg.num_antennas, setup.n_slots, cfg.phase_factor
@@ -307,18 +314,8 @@ def cs_chunk(setup, trial_lo, trial_hi):
     traj_rngs, noise_rngs, algo_rngs = (
         trial_streams(setup.base_seed, range(trial_lo, trial_hi), kind) for kind in (TRAJECTORY, NOISE, ALGORITHM)
     )
-    model = setup.model
-    moving = model is not None and not isinstance(model, dynamics.Static)
-    if model is None:
-        x0 = np.array([r.uniform(-1.0, 1.0) for r in traj_rngs])
-    else:
-        x0 = np.full(t, dynamics.initial_x(model))
-    if isinstance(model, dynamics.SinusoidJitter):
-        xs = np.array([dynamics.trajectory(model, n, r) for r in traj_rngs])
-    elif moving:  # FixedVelocity: one (n,) trajectory shared by every trial
-        xs = dynamics.trajectory(model, n)
-    else:
-        xs = np.repeat(x0[:, None], n, axis=1)
+    moving = dynamics.moving(setup.model)
+    x0, xs = dynamics.trajectory(setup.model, n, t, traj_rngs)
     warm = m // 2 if moving else 0
     noise = np.zeros((t, m + warm + n), dtype=complex)
     if not setup.no_noise:

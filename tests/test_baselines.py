@@ -13,7 +13,6 @@ from beamtrack.trackers import DiminishingStep, alpha_star, codebook_directions
 
 import reference
 
-PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
 CFG = ArrayConfig(16, 0.5)
 DIRS = codebook_directions(CFG)
@@ -26,7 +25,7 @@ def setup16(algorithm, **over):
     """A noise-free run of one baseline on 16 antennas."""
     kw = dict(
         algorithm=algorithm, cfg_track=CFG, cfg_data=CFG, rho=10.0, stage1_rho=10.0,
-        beta=BETA, pilot=PILOT, no_noise=True, schedule=DiminishingStep(alpha_star(CFG)),
+        beta=BETA, no_noise=True, schedule=DiminishingStep(alpha_star(CFG)),
         model=dynamics.Static(0.3), n_slots=1, m0=32, base_seed=0,
     )
     kw.update(over)
@@ -73,7 +72,7 @@ class TestLeastSquares:
 
     def test_final_estimate_is_nan(self):
         # LS estimates the channel, never x: no stage-1 estimate stands in for one
-        for model in (dynamics.Static(0.3), WINDOW_037, None):
+        for model in (dynamics.Static(0.3), WINDOW_037, dynamics.Static(None)):
             final = finals(setup16("ls", no_noise=False, model=model, n_slots=20), trials=3)
             assert final.shape == (3,) and np.isnan(final).all()
 
@@ -100,7 +99,7 @@ class TestCompressedSensing:
     @pytest.mark.parametrize("m", [8, 16])
     @pytest.mark.parametrize(
         "model",
-        [dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter(), dynamics.Static(0.3), None],
+        [dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter(), dynamics.Static(0.3), dynamics.Static(None)],
         ids=["fixed-velocity", "sinusoid", "static", "uniform-x"],
     )
     def test_matches_grid_reference(self, m, model):
@@ -108,7 +107,7 @@ class TestCompressedSensing:
         # correlate/accumulate/window loop in every slot of every trial, but
         # for slot 1 of a static run: with no warm-up its one sounding scores
         # every atom |y|^2, a tie decided by rounding
-        first = 1 if model is None or isinstance(model, dynamics.Static) else 0
+        first = 1 if isinstance(model, dynamics.Static) else 0
         s = cs_setup(m, model, n_slots=60)
         res = run_chunk(s, 0, 24)
         expected, final = reference.cs_means(s, 0, 24)
@@ -202,7 +201,7 @@ class TestCompressedSensing:
     def test_quantization_floor(self):
         # noise-free off-grid directions: mean squared error is at least the
         # uniform-quantization bound of the 1024-atom grid
-        s = setup16("cs", model=None, n_slots=4, base_seed=5)
+        s = setup16("cs", model=dynamics.Static(None), n_slots=4, base_seed=5)
         res = run_chunk(s, 0, 600)
         errs = (res.extras["final_estimate"] - res.extras["final_x"]) ** 2
         bound = (2 / 1024) ** 2 / 12
@@ -283,7 +282,7 @@ class TestKalman:
         model = dynamics.Static(math.sin(theta))
         setup = TrialSetup(
             algorithm="kf", cfg_track=CFG, cfg_data=CFG, rho=10.0, stage1_rho=10.0,
-            beta=BETA, pilot=PILOT, no_noise=False,
+            beta=BETA, no_noise=False,
             schedule=DiminishingStep(alpha_star(CFG)), model=model,
             n_slots=50, m0=32, base_seed=4,
         )
@@ -356,7 +355,7 @@ class TestMseHDefined:
     # mse_h need no NaN guard
     @pytest.mark.parametrize(
         "model",
-        [None, dynamics.Static(0.2), dynamics.SinusoidJitter(), dynamics.FixedVelocity(0.01)],
+        [dynamics.Static(None), dynamics.Static(0.2), dynamics.SinusoidJitter(), dynamics.FixedVelocity(0.01)],
         ids=["uniform", "static", "sinusoid", "fixed-velocity"],
     )
     def test_finite_for_every_algorithm(self, model):

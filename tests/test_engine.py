@@ -15,7 +15,6 @@ from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star
 
 import reference
 
-PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
 CFG8 = ArrayConfig(8, 0.5)
 
@@ -28,7 +27,6 @@ def base_setup(**over):
         rho=10.0,
         stage1_rho=10.0,
         beta=BETA,
-        pilot=PILOT,
         no_noise=False,
         schedule=DiminishingStep(alpha_star(CFG8)),
         model=dynamics.Static(0.35),
@@ -111,7 +109,8 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
     @pytest.mark.parametrize(
         "model",
-        [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)],
+        [dynamics.Static(None), dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3),
+         dynamics.SinusoidJitter(period=50)],
         ids=["uniform", "static", "fixed-velocity", "sinusoid"],
     )
     def test_trial_content_independent_of_chunking(self, algorithm, model):
@@ -130,7 +129,8 @@ class TestSlotMetrics:
     @pytest.mark.parametrize("algorithm", [a for a in engine.ALGORITHMS if a != "ls"])
     @pytest.mark.parametrize(
         "model",
-        [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)],
+        [dynamics.Static(None), dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3),
+         dynamics.SinusoidJitter(period=50)],
         ids=["uniform", "static", "fixed-velocity", "sinusoid"],
     )
     def test_last_slot_is_slot_metrics_of_the_final_estimate(self, algorithm, model):
@@ -185,8 +185,14 @@ class TestNoiseDraw:
 
 
 class TestNoiseBlocks:
-    MODELS = [None, dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3), dynamics.SinusoidJitter(period=50)]
-    MODEL_IDS = ["uniform", "static", "fixed-velocity", "sinusoid"]
+    MODELS = [
+        dynamics.Static(None),
+        dynamics.Static(0.35),
+        dynamics.FixedVelocity(0.01, theta0=0.3),
+        dynamics.SinusoidJitter(period=50),
+        dynamics.SinusoidJitter(jitter_std=0.0, period=50),
+    ]
+    MODEL_IDS = ["uniform", "static", "fixed-velocity", "sinusoid", "sinusoid-unjittered"]
 
     @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -223,8 +229,9 @@ class TestNoiseBlocks:
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("no_noise", [False, True])
     def test_streams_built_only_when_read(self, monkeypatch, algorithm, model, no_noise):
-        # trajectory children for uniform-x and jittered-sinusoid truth, noise
-        # children when noise is on, algorithm children for CS
+        # trajectory children where dynamics.per_trial holds (uniform-x and
+        # jittered-sinusoid truth, not an unjittered one), noise children
+        # when noise is on, algorithm children for CS
         built = {kind: 0 for kind in (engine.TRAJECTORY, engine.NOISE, engine.ALGORITHM)}
         original = engine.trial_streams
 
@@ -234,7 +241,7 @@ class TestNoiseBlocks:
 
         monkeypatch.setattr(engine, "trial_streams", counting)
         run_chunk(base_setup(algorithm=algorithm, model=model, n_slots=4, no_noise=no_noise), 2, 5)
-        random_truth = model is None or isinstance(model, dynamics.SinusoidJitter)
+        random_truth = dynamics.per_trial(model)
         assert built == {
             engine.TRAJECTORY: 3 if random_truth else 0,
             engine.NOISE: 0 if no_noise else 3,
@@ -269,7 +276,7 @@ class TestOneDirichletPerStaticSlot:
         "over, kernels",
         [
             (dict(model=dynamics.Static(0.35)), N_SLOTS + 1),
-            (dict(model=None), N_SLOTS + 1),
+            (dict(model=dynamics.Static(None)), N_SLOTS + 1),
             (dict(model=dynamics.FixedVelocity(0.01, theta0=0.3)), 2 * N_SLOTS),
             (dict(model=dynamics.Static(0.35), cfg_data=ArrayConfig(16, 0.5)), 2 * N_SLOTS),
         ],
@@ -362,7 +369,8 @@ class TestChunkMemory:
 
     @pytest.mark.parametrize(
         "algorithm, model",
-        [("recursive", None), ("ls", None), ("wlan", None), ("cs", dynamics.SinusoidJitter())],
+        [("recursive", dynamics.Static(None)), ("ls", dynamics.Static(None)), ("wlan", dynamics.Static(None)),
+         ("cs", dynamics.SinusoidJitter())],
         ids=["recursive", "ls", "wlan", "cs-moving"],
     )
     def test_stage1_buffers_freed_before_the_noise_block(self, monkeypatch, algorithm, model):
@@ -391,17 +399,21 @@ class TestChunkMemory:
     def test_static_chunk_peaks_near_its_noise_block(self):
         # a 2048 x 2000 static chunk: the noise block is 8.42 MB and the
         # traced peak 10.55 MB; with the stage-1 buffers and the sweep's
-        # temporaries beside the block it read 12.68 MB
+        # temporaries beside the block it read 12.68 MB.  An unjittered
+        # sinusoid is one (n,) row that every trial shares: built as T
+        # identical rows it peaked at 43.3 MB
         cfg = ArrayConfig(16, 0.5)
-        setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000)
         block = 2048 * (engine._NOISE_BLOCK // 2048 + 1) * 16
-        tracemalloc.start()
-        try:
-            run_chunk(setup, 0, 2048)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - block < 3e6
+        for model in (dynamics.Static(0.35), dynamics.SinusoidJitter(jitter_std=0.0, period=50)):
+            setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000, model=model)
+            assert engine.trial_bytes(setup) == 0
+            tracemalloc.start()
+            try:
+                run_chunk(setup, 0, 2048)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - block < 3e6, model
 
     @staticmethod
     def peak_growth_per_trial(setup, n_trials):
@@ -417,7 +429,7 @@ class TestChunkMemory:
                 tracemalloc.stop()
         return (peaks[1] - peaks[0]) / (n_trials[1] - n_trials[0])
 
-    @pytest.mark.parametrize("model", [None, dynamics.SinusoidJitter()], ids=["uniform", "sinusoid"])
+    @pytest.mark.parametrize("model", [dynamics.Static(None), dynamics.SinusoidJitter()], ids=["uniform", "sinusoid"])
     def test_cs_chunk_budget_counts_what_a_trial_adds(self, model):
         # engine.trial_bytes is the budget's count of a CS trial; it should
         # track the peak's growth per added trial at a large M, within one
@@ -444,7 +456,7 @@ class TestInitializationModes:
         np.testing.assert_array_equal(res.extras["x0_hat"], 0.11)
 
     def test_true(self):
-        setup = base_setup(x0_mode="true", model=None, n_slots=1)
+        setup = base_setup(x0_mode="true", model=dynamics.Static(None), n_slots=1)
         res = run_chunk(setup, 0, 5)
         np.testing.assert_array_equal(res.extras["x0_hat"], res.extras["final_x"])
         assert res.extras["init_in_mainlobe"].all()
@@ -453,6 +465,12 @@ class TestInitializationModes:
         for mode in ("bogus", "offset", "uniform-mainlobe"):
             with pytest.raises(ValueError):
                 base_setup(x0_mode=mode)
+
+    def test_rejects_a_model_that_is_not_a_trajectory_model(self):
+        # anything but a trajectory model fails at construction and names
+        # the uniform-x truth, Static(None)
+        with pytest.raises(TypeError, match=r"Static\(None\)"):
+            base_setup(model=None)
 
 
 class TestExcursionTracking:

@@ -61,13 +61,45 @@ def test_engine_calls_perfbench_hooks_live(monkeypatch, algorithm):
             monkeypatch.setattr(engine, attr, wrap(attr, getattr(engine, attr)))
     cfg = ArrayConfig(8, 0.5)
     setup = engine.TrialSetup(
-        algorithm=algorithm, cfg_track=cfg, cfg_data=cfg, rho=10.0, stage1_rho=10.0, beta=1.0, pilot=1.0,
+        algorithm=algorithm, cfg_track=cfg, cfg_data=cfg, rho=10.0, stage1_rho=10.0, beta=1.0,
         no_noise=False, schedule=DiminishingStep(alpha_star(cfg)),
         model=dynamics.FixedVelocity(0.01, theta0=0.3), n_slots=5, m0=16, base_seed=1,
     )
     engine.run_chunk(setup, 0, 3)
     missing = (_ENGINE_HOOKS_CALLED | _ALGORITHM_HOOKS_CALLED.get(algorithm, set())) - called
     assert not missing
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dynamics.Static(0.3),
+        dynamics.Static(None),
+        dynamics.FixedVelocity(0.01, theta0=0.3),
+        dynamics.SinusoidJitter(period=50),
+        dynamics.SinusoidJitter(jitter_std=0.0, period=50),
+    ],
+    ids=["static", "uniform", "fixed-velocity", "sinusoid", "sinusoid-unjittered"],
+)
+def test_engine_calls_the_trajectory_hook_live(monkeypatch, model):
+    # every truth, static ones included, comes from one dynamics.trajectory
+    # call per chunk, looked up on the module as the benchmark's hook is
+    assert ("dynamics", "trajectory") in {(module, attr) for module, attr, *_ in _perfbench_tracing().HOOKS}
+    calls = []
+    original = dynamics.trajectory
+
+    def hooked(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "trajectory", hooked)
+    cfg = ArrayConfig(8, 0.5)
+    setup = engine.TrialSetup(
+        algorithm="recursive", cfg_track=cfg, cfg_data=cfg, rho=10.0, stage1_rho=10.0, beta=1.0,
+        no_noise=False, schedule=DiminishingStep(alpha_star(cfg)), model=model, n_slots=5, m0=16, base_seed=1,
+    )
+    engine.run_chunk(setup, 0, 3)
+    assert len(calls) == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -234,7 +234,7 @@ def chunk_size(algorithm, n_slots, model, m):
 
 
 class TestChunking:
-    MODELS = (None, dynamics.Static(0.3), dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter())
+    MODELS = (dynamics.Static(None), dynamics.Static(0.3), dynamics.FixedVelocity(0.01), dynamics.SinusoidJitter())
 
     def test_chunk_bounds_unchanged_up_to_10k_slots(self):
         # the chunk bounds set the merge order, hence the last bits of every
@@ -249,8 +249,8 @@ class TestChunking:
 
     def test_cs_budget_counts_probes(self):
         # 128 trials x 10,000 slots of 256 int8 probe indices is 328 MB
-        assert chunk_size("cs", 10_000, None, 256) == 64
-        assert chunk_size("recursive", 10_000, None, 256) == 2048
+        assert chunk_size("cs", 10_000, dynamics.Static(None), 256) == 64
+        assert chunk_size("recursive", 10_000, dynamics.Static(None), 256) == 2048
 
     @pytest.mark.parametrize("model", MODELS, ids=["uniform", "static", "fixed-velocity", "sinusoid"])
     def test_cs_budget_counts_terms_in_m_squared(self, model):
@@ -425,7 +425,7 @@ class TestSlotStats:
         spec = ExperimentSpec(kind="static-convergence", m_data=8, seed=11)
         setup = TrialSetup(
             algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
-            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
+            stage1_rho=spec.stage1_rho, beta=spec.beta, no_noise=False,
             schedule=spec.resolved_schedule(), model=model, n_slots=300, m0=16, base_seed=11,
         )
         in_place = run_chunk(setup, 0, 97).stats
@@ -692,7 +692,7 @@ class TestAggregation:
         series, _ = simulate(spec, "recursive", spec.build_model(), 6, 60)
         setup = TrialSetup(
             algorithm="recursive", cfg_track=spec.cfg_track, cfg_data=spec.cfg_data, rho=spec.rho,
-            stage1_rho=spec.stage1_rho, beta=spec.beta, pilot=spec.pilot, no_noise=False,
+            stage1_rho=spec.stage1_rho, beta=spec.beta, no_noise=False,
             schedule=spec.resolved_schedule(), model=spec.build_model(), n_slots=60, m0=16,
             base_seed=13,
         )

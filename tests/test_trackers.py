@@ -18,7 +18,6 @@ from beamtrack.trackers import (
     sweep_matrix,
 )
 
-PILOT = (1 - 1j) / math.sqrt(2)
 BETA = (1 + 1j) / math.sqrt(2)
 CFG8 = ArrayConfig(8, 0.5)
 
@@ -27,7 +26,7 @@ def setup8(**over):
     """One noise-free slot of the recursive tracker on 8 antennas."""
     kw = dict(
         algorithm="recursive", cfg_track=CFG8, cfg_data=CFG8, rho=10.0, stage1_rho=10.0,
-        beta=BETA, pilot=PILOT, no_noise=True, schedule=FixedStep(alpha_star(CFG8)),
+        beta=BETA, no_noise=True, schedule=FixedStep(alpha_star(CFG8)),
         model=dynamics.Static(0.3), n_slots=1, m0=16, base_seed=0,
     )
     kw.update(over)
@@ -222,7 +221,7 @@ class TestAngularStep:
         for algo in ("recursive", "angular"):
             setup = TrialSetup(
                 algorithm=algo, cfg_track=CFG8, cfg_data=CFG8, rho=10.0, stage1_rho=10.0,
-                beta=BETA, pilot=PILOT, no_noise=False,
+                beta=BETA, no_noise=False,
                 schedule=DiminishingStep(alpha_star(CFG8)), model=model,
                 n_slots=2000, m0=16, base_seed=9, x0_mode="true",
             )
@@ -305,8 +304,8 @@ class TestConvergenceBehavior:
             rho = 10 ** (snr_db / 10)
             setup = TrialSetup(
                 algorithm="recursive", cfg_track=cfg16, cfg_data=cfg16, rho=rho, stage1_rho=rho,
-                beta=BETA, pilot=PILOT, no_noise=False,
-                schedule=DiminishingStep(alpha_star(cfg16)), model=None,
+                beta=BETA, no_noise=False,
+                schedule=DiminishingStep(alpha_star(cfg16)), model=dynamics.Static(None),
                 n_slots=10_000, m0=32, base_seed=55, x0_mode="sweep",
             )
             res = run_chunk(setup, 0, 1000)
