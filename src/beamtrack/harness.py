@@ -156,15 +156,14 @@ class ExperimentSpec:
         """The truth the spec's runs simulate; a static spec's ``x = None``
         is ``Static(None)``, x drawn uniformly per trial.
 
-        A sweep or table search runs a fixed velocity at each ``omega``; the
-        default, 0, serves its chunk plan, which reads only that the truth
-        moves.  A dynamic spec runs its own ``omega`` field and ignores the
-        argument.
+        A sweep or table search runs a fixed velocity at the ``omega`` it is
+        given, which it needs.  A dynamic spec runs its own ``omega`` field
+        and ignores the argument.
         """
         if self.kind in ("static-convergence", "init-success-rate"):
             return dynamics.Static(self.x)
         if self.kind != "dynamic-trajectory":
-            return dynamics.FixedVelocity(omega or 0.0, self.bound, self.theta0)
+            return dynamics.FixedVelocity(omega, self.bound, self.theta0)
         if self.traj_kind == "sinusoid":
             return dynamics.SinusoidJitter(self.sinusoid_amplitude, self.sinusoid_period, self.sinusoid_jitter_std)
         return dynamics.FixedVelocity(self.omega, self.bound, self.theta0)
@@ -395,11 +394,6 @@ def _reduce_chunks(results: list[ChunkResult]):
 HEALTH_COUNTERS = ("init_in_mainlobe", "degenerate_slots")
 
 
-def _wait(got):
-    """The (MetricSeries, extras) pair of a ``simulate`` call, once its chunks are done."""
-    return got() if callable(got) else got
-
-
 def _health(extras) -> dict:
     """An algorithm's health counters from its per-trial extras: the trials
     whose stage-1 sweep landed in the mainlobe and the angular tracker's
@@ -411,25 +405,35 @@ def _health(extras) -> dict:
 # experiment kinds
 
 
-def _chunk_plan(spec: ExperimentSpec) -> dict:
-    """Each simulated algorithm's chunk bounds [lo, hi) in the run of
-    ``spec``, from the setups its runner builds; a sweep or table search runs
-    them once per velocity."""
+def _batches(spec: ExperimentSpec, omega: float | None = None) -> list[list[tuple]]:
+    """The ``simulate`` calls of the run of ``spec``, as (algorithm, truth,
+    n_slots) triples, in the batches that are queued at once:
+
+    * static and dynamic: one batch of every algorithm;
+    * velocity sweep: one batch of every (omega, algorithm), omega-major;
+    * init-rate: one batch of the recursive tracker's one-slot run;
+    * table search: one one-call batch per algorithm, at ``omega`` (default
+      ``omega_hi``); the search queues one per bisection step;
+    * theory: none.
+    """
     if spec.kind == "theory-diagnostics":
-        return {}
-    init = spec.kind == "init-success-rate"
-    algorithms, n_slots = (("recursive",), 1) if init else (spec.algorithms, spec.n_slots)
-    model = spec.build_model()
-    return {a: _chunk_bounds(_trial_setup(spec, a, model, n_slots), spec.n_trials) for a in algorithms}
-
-
-def _queued_chunks(plan: dict, spec: ExperimentSpec) -> int:
-    """The most chunks the runner of ``spec`` has queued at once: all of the
-    experiment's, except that a table search waits for each velocity."""
-    counts = [len(bounds) for bounds in plan.values()]
+        return []
+    if spec.kind == "init-success-rate":
+        return [[("recursive", spec.build_model(), 1)]]
+    if spec.kind == "velocity-sweep":
+        return [[(a, spec.build_model(w), spec.n_slots) for w in spec.omegas for a in spec.algorithms]]
     if spec.kind == "max-velocity-table":
-        return max(counts)
-    return sum(counts) * (len(spec.omegas) if spec.kind == "velocity-sweep" else 1)
+        model = spec.build_model(spec.omega_hi if omega is None else omega)
+        return [[(a, model, spec.n_slots)] for a in spec.algorithms]
+    return [[(a, spec.build_model(), spec.n_slots) for a in spec.algorithms]]
+
+
+def _run_batch(spec: ExperimentSpec, batch, pool) -> list:
+    """The (MetricSeries, extras) pair of every call in ``batch``, over the
+    spec's trials; with a pool, every call's chunks are queued before any
+    is awaited."""
+    queued = [simulate(spec, a, model, spec.n_trials, n_slots, pool=pool) for a, model, n_slots in batch]
+    return [got() for got in queued] if pool is not None else queued
 
 
 def _open_pool(size: int):
@@ -459,8 +463,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     chunk raises, the chunks still queued are cancelled and the error
     propagates.
     """
-    plan = _chunk_plan(spec)
-    size = min(workers, _queued_chunks(plan, spec))
+    plan = [
+        [(a, _chunk_bounds(_trial_setup(spec, a, model, n_slots), spec.n_trials)) for a, model, n_slots in batch]
+        for batch in _batches(spec)
+    ]
+    size = min(workers, max((sum(len(bounds) for _, bounds in batch) for batch in plan), default=0))
     pool = _open_pool(size) if size > 1 else None
     try:
         result = _RUNNERS[spec.kind](spec, pool)
@@ -472,7 +479,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     result.metadata.update(
         spec=_spec_dict(spec),
         chunking="fixed per algorithm; reduction order independent of workers",
-        chunks={algo: [list(b) for b in bounds] for algo, bounds in plan.items()},
+        chunks={algo: [list(b) for b in bounds] for batch in plan for algo, bounds in batch},
         workers=workers,
         versions={"beamtrack": __version__, "numpy": np.__version__, "python": platform.python_version()},
     )
@@ -482,16 +489,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
 
 
 def _run_algorithms(spec: ExperimentSpec, pool) -> tuple[dict, dict]:
-    """Each of the spec's algorithms on its trajectory, one ``simulate`` call
-    each, all queued before any is awaited: the MetricSeries and the
-    ``_health`` counters, by algorithm."""
-    model = spec.build_model()
-    queued = [simulate(spec, algo, model, spec.n_trials, spec.n_slots, pool=pool) for algo in spec.algorithms]
-    series, health = {}, {}
-    for algo, got in zip(spec.algorithms, queued):
-        series[algo], per_trial = _wait(got)
-        health[algo] = _health(per_trial)
-    return series, health
+    """Each of the spec's algorithms on its truth, in one batch: the
+    MetricSeries and the ``_health`` counters, by algorithm."""
+    (batch,) = _batches(spec)
+    results = dict(zip(spec.algorithms, _run_batch(spec, batch, pool)))
+    return {a: s for a, (s, _) in results.items()}, {a: _health(e) for a, (_, e) in results.items()}
 
 
 def _run_static(spec: ExperimentSpec, pool) -> ExperimentResult:
@@ -535,15 +537,13 @@ def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
 def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     table = []
-    points = [(omega, algo) for omega in spec.omegas for algo in spec.algorithms]
-    queued = [simulate(spec, a, spec.build_model(w), spec.n_trials, spec.n_slots, pool=pool) for w, a in points]
-    for (omega, algo), got in zip(points, queued):
-        s, _ = _wait(got)
+    (batch,) = _batches(spec)
+    for (algo, model, _), (s, _) in zip(batch, _run_batch(spec, batch, pool)):
         mean_rate = float(np.mean(s.rate))
         mean_mse = float(np.mean(s.mse_h))
-        table.append((omega, algo, mean_rate, mean_mse))
-        summary.append((f"mean_rate@omega={omega:.6g}", algo, mean_rate))
-        summary.append((f"mean_mse_h@omega={omega:.6g}", algo, mean_mse))
+        table.append((model.omega, algo, mean_rate, mean_mse))
+        summary.append((f"mean_rate@omega={model.omega:.6g}", algo, mean_rate))
+        summary.append((f"mean_mse_h@omega={model.omega:.6g}", algo, mean_mse))
     return ExperimentResult(spec=spec, series={}, summary=summary, extras={"sweep_table": table})
 
 
@@ -553,10 +553,10 @@ def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
     threshold = spec.rate_fraction * cap
     summary = [("capacity_bits", "theory", cap)]
     evals = []
-    for algo in spec.algorithms:
+    for k, algo in enumerate(spec.algorithms):
         def mean_rate(omega):
-            got = simulate(spec, algo, spec.build_model(omega), spec.n_trials, spec.n_slots, pool=pool)
-            return float(np.mean(_wait(got)[0].rate))
+            ((s, _),) = _run_batch(spec, _batches(spec, omega)[k], pool)
+            return float(np.mean(s.rate))
 
         lo, hi = spec.omega_lo, spec.omega_hi
         rate_hi = mean_rate(hi)
@@ -585,8 +585,8 @@ def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
 
 
 def _run_init_rate(spec: ExperimentSpec, pool) -> ExperimentResult:
-    model = spec.build_model()
-    _, extras = _wait(simulate(spec, "recursive", model, spec.n_trials, 1, pool=pool))
+    (batch,) = _batches(spec)
+    ((_, extras),) = _run_batch(spec, batch, pool)
     ok = extras["init_in_mainlobe"]
     p = float(np.mean(ok))
     stderr = math.sqrt(p * (1 - p) / len(ok))
