@@ -14,7 +14,10 @@ results as CSV.  Six experiment kinds are supported:
   mainlobe.
 * ``theory-diagnostics``: closed-form constants from the analysis module.
 
-Every run, and the chunk plan that ``metadata.json`` records, takes its
+What each kind simulates is stated once, in ``_batches``: its ``simulate``
+calls as (algorithm, truth, n_slots) triples, grouped into the batches that
+are queued at once.  The runners, the chunk plan that ``metadata.json``
+records and the pool size all read that list.  Every call takes its
 :class:`~beamtrack.engine.TrialSetup` from one builder, ``_trial_setup``,
 and its truth from ``ExperimentSpec.build_model``.  Trials are split into
 fixed-size chunks by one policy, ``_chunk_bounds``: 2048 trials (128 for CS),
@@ -26,12 +29,13 @@ is bitwise identical for any worker count and the standard errors do not
 suffer the cancellation of sum(v^2) - n*mean^2.
 
 With ``workers > 1`` an experiment opens one process pool of at most
-``min(workers, chunks)`` processes and queues every algorithm's chunks on it
-(every velocity's too, in a sweep) before it reduces any; a table search
-reuses the pool across its bisection steps.  ``simulate`` opens no pool of
-its own: without one it runs its chunks in the calling process.  Only
-``_open_pool`` imports the pool machinery, so a run that opens no pool never
-loads ``concurrent.futures`` or ``multiprocessing``.
+``min(workers, chunks of its largest batch)`` processes and queues each
+batch's chunks on it before it reduces any: every algorithm's (every
+velocity's too, in a sweep), or in a table search one algorithm's at one
+velocity, one bisection step after another on the same pool.  ``simulate``
+opens no pool of its own: without one it runs its chunks in the calling
+process.  Only ``_open_pool`` imports the pool machinery, so a run that
+opens no pool never loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -203,6 +207,12 @@ def _type_problem(hint, value) -> str | None:
 MAGNITUDE_RANGE = (1e-50, 1e50)
 
 
+def _at_omega(omega: float) -> str:
+    """The suffix that names a sweep velocity in its summary rows, at 6
+    significant digits: ``mean_rate@omega=0.01``."""
+    return f"@omega={omega:.6g}"
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
@@ -245,6 +255,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         value = getattr(spec, name)
         if not lo <= abs(value) <= hi:
             raise ConfigError(f"{name}: |{name}| must lie in [{lo:g}, {hi:g}], got {value!r}")
+    if not spec.algorithms:
+        raise ConfigError("algorithms: must name at least one algorithm")
     for k, algo in enumerate(spec.algorithms):
         if algo in spec.algorithms[:k]:
             raise ConfigError(f"algorithms: {algo!r} is listed twice")
@@ -280,9 +292,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
     # a fixed-velocity triangle wave stays within +-bound only for omega <= bound
     if spec.omega < 0 or (spec.traj_kind == "fixed-velocity" and spec.omega > spec.bound):
         raise ConfigError(f"omega: must lie in [0, bound], got {spec.omega!r}")
-    for omega in spec.omegas:
+    labels = [_at_omega(omega) for omega in spec.omegas]
+    for k, omega in enumerate(spec.omegas):
         if not 0 <= omega <= spec.bound:
             raise ConfigError(f"omegas: every entry must lie in [0, bound], got {omega!r}")
+        if labels[k] in labels[:k]:
+            raise ConfigError(f"omegas: {omega!r} shares its summary rows (mean_rate{labels[k]}) with an earlier entry")
     if spec.kind == "velocity-sweep" and not spec.omegas:
         raise ConfigError("omegas: velocity-sweep requires at least one omega")
     if spec.schedule not in (None, "diminishing", "fixed"):
@@ -457,11 +472,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     ``HEALTH_COUNTERS``).  It holds no time, so a spec, worker count and
     install always write the same bytes.
 
-    With ``workers > 1`` and more than one chunk queued at once, the run opens
-    one process pool of at most ``min(workers, chunks)`` processes for all of
-    its ``simulate`` calls; only then is the pool machinery imported.  If a
-    chunk raises, the chunks still queued are cancelled and the error
-    propagates.
+    With ``workers > 1`` and more than one chunk in its largest batch (see
+    ``_batches``), the run opens one process pool of at most ``min(workers,
+    chunks)`` processes for all of its ``simulate`` calls; only then is the
+    pool machinery imported.  If a chunk raises, the chunks still queued are
+    cancelled and the error propagates.
     """
     plan = [
         [(a, _chunk_bounds(_trial_setup(spec, a, model, n_slots), spec.n_trials)) for a, model, n_slots in batch]
@@ -542,8 +557,8 @@ def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
         mean_rate = float(np.mean(s.rate))
         mean_mse = float(np.mean(s.mse_h))
         table.append((model.omega, algo, mean_rate, mean_mse))
-        summary.append((f"mean_rate@omega={model.omega:.6g}", algo, mean_rate))
-        summary.append((f"mean_mse_h@omega={model.omega:.6g}", algo, mean_mse))
+        summary.append((f"mean_rate{_at_omega(model.omega)}", algo, mean_rate))
+        summary.append((f"mean_mse_h{_at_omega(model.omega)}", algo, mean_mse))
     return ExperimentResult(spec=spec, series={}, summary=summary, extras={"sweep_table": table})
 
 

@@ -267,6 +267,9 @@ def _bad_field_cases():
             case("static", "stage1_snr_db", _OUT_OF_DB_RANGE),
             case("dynamic", "omega", _NEGATIVE | _ABOVE_BOUND),
             case("sweep", "omegas", bad_omegas),
+            # 0.01 and 0.0100000001 share the summary label mean_rate@omega=0.01
+            case("sweep", "omegas", st.sampled_from([[0.01, 0.01], [0.01, 0.0100000001], [0.2, 0.1, 0.2]])),
+            case("table1", "algorithms", st.just([])),
             case("table1", "omega_hi", _ABOVE_BOUND),
             # finer than the float spacing at omega_hi: the bisection never ends
             case("table1", "omega_tol", st.floats(0.0, math.ulp(0.3), exclude_min=True, exclude_max=True),

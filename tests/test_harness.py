@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamtrack
-from beamtrack import analysis, dynamics, harness
+from beamtrack import analysis, dynamics, engine, harness
 from beamtrack.arrays import ArrayConfig, conjugate_beamformer, dirichlet_parts
 from beamtrack.cli import main as cli_main
 from beamtrack.engine import ALGORITHMS, TrialSetup, run_chunk
@@ -225,10 +225,10 @@ class TestDeterminism:
         assert r1.summary == r2.summary
 
 
-def chunk_size(algorithm, n_slots, model, m):
+def chunk_size(algorithm, n_slots, model, m, m0=None):
     """Trials in each full chunk of ``algorithm`` on ``model`` with an
-    M-antenna array."""
-    setup = _trial_setup(ExperimentSpec(kind="static-convergence", m_data=m), algorithm, model, n_slots)
+    M-antenna array and an m0-entry stage-1 dictionary (default 2M)."""
+    setup = _trial_setup(ExperimentSpec(kind="static-convergence", m_data=m, m0=m0), algorithm, model, n_slots)
     lo, hi = _chunk_bounds(setup, 2**20)[0]
     return hi - lo
 
@@ -260,6 +260,17 @@ class TestChunking:
         assert chunk_size("cs", 200, model, 512) < 128
         assert chunk_size("cs", 200, model, 16) == 128
         assert chunk_size("recursive", 200, model, 512) == 2048
+
+    def test_budget_counts_the_stage1_projection(self):
+        # stage 1 holds an (m0, T) complex projection and its modulus, 24*m0
+        # B a trial: 3.2 GB for a 2048-trial chunk at m0 = 2**16
+        model = dynamics.Static(None)
+        assert chunk_size("recursive", 20, model, 16, m0=2**13) == 1024
+        assert chunk_size("recursive", 20, model, 16, m0=2**16) == 128
+        assert chunk_size("cs", 20, model, 16, m0=2**16) == 128
+        spec = ExperimentSpec(kind="static-convergence", m_data=16, m0=2**16)
+        fixed = _trial_setup(spec, "recursive", model, 20, x0_mode="fixed", x0_value=0.0)
+        assert engine.trial_bytes(fixed) == 0  # no sweep, no projection
 
 
 def count_simulate_calls(monkeypatch):
@@ -368,6 +379,21 @@ class TestExperimentPool:
         evals = len(result.extras["evals"])
         assert evals > 2
         assert [(p.max_workers, p.queued) for p in pools] == [(2, 2 * evals)]
+
+    def test_table_pool_holds_the_largest_evaluation(self, pools):
+        # 130 trials: one recursive chunk and two of CS.  Each evaluation's
+        # chunks are queued alone, so the pool needs 2 processes, not 3
+        spec = ExperimentSpec(
+            kind="max-velocity-table", m_data=8, n_slots=20, n_trials=130, seed=3,
+            omega_lo=0.0, omega_hi=0.2, omega_tol=0.05, algorithms=("recursive", "cs"),
+        )
+        result = run_experiment(spec, workers=4)
+        queued, at_start = 0, []
+        for algo, _, _ in result.extras["evals"]:
+            chunks = 1 if algo == "recursive" else 2
+            queued += chunks
+            at_start += [queued] * chunks
+        assert [(p.max_workers, p.queued, p.queued_at_start) for p in pools] == [(2, queued, at_start)]
 
     def test_no_pool_for_a_single_chunk(self, pools):
         for spec in (
@@ -731,7 +757,7 @@ _SPEC_FIELDS = st.fixed_dictionaries(
         "n_slots": st.integers(1, 5),
         "seed": st.integers(0, 2**32),
         "snr_db": st.sampled_from([-300.0, -200.0, 0.0, 300.0]) | st.floats(-300.0, 300.0),
-        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True).map(tuple),
+        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=0, max_size=3, unique=True).map(tuple),
         "omegas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2).map(tuple),
     },
     optional={
