@@ -160,9 +160,9 @@ class ExperimentSpec:
         """The truth the spec's runs simulate; a static spec's ``x = None``
         is ``Static(None)``, x drawn uniformly per trial.
 
-        A sweep or table search runs a fixed velocity at the ``omega`` it is
-        given, which it needs.  A dynamic spec runs its own ``omega`` field
-        and ignores the argument.
+        A sweep or table search runs a fixed velocity at ``omega``, which
+        its caller must pass (see ``_batches``).  A dynamic spec runs its own
+        ``omega`` field and ignores the argument.
         """
         if self.kind in ("static-convergence", "init-success-rate"):
             return dynamics.Static(self.x)
