@@ -549,13 +549,17 @@ def _run_dynamic(spec: ExperimentSpec, pool) -> ExperimentResult:
     return ExperimentResult(spec=spec, series=series, summary=summary, metadata={"health": health})
 
 
+def _mean_metrics(spec: ExperimentSpec, batch, pool) -> list[tuple[float, float]]:
+    """The (mean rate, mean mse_h) over its slots of every call in ``batch``,
+    queued at once through ``_run_batch``."""
+    return [(float(np.mean(s.rate)), float(np.mean(s.mse_h))) for s, _ in _run_batch(spec, batch, pool)]
+
+
 def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
     summary = [("capacity_bits", "theory", capacity(spec.cfg_data, spec.rho))]
     table = []
     (batch,) = _batches(spec)
-    for (algo, model, _), (s, _) in zip(batch, _run_batch(spec, batch, pool)):
-        mean_rate = float(np.mean(s.rate))
-        mean_mse = float(np.mean(s.mse_h))
+    for (algo, model, _), (mean_rate, mean_mse) in zip(batch, _mean_metrics(spec, batch, pool)):
         table.append((model.omega, algo, mean_rate, mean_mse))
         summary.append((f"mean_rate{_at_omega(model.omega)}", algo, mean_rate))
         summary.append((f"mean_mse_h{_at_omega(model.omega)}", algo, mean_mse))
@@ -563,36 +567,35 @@ def _run_sweep(spec: ExperimentSpec, pool) -> ExperimentResult:
 
 
 def _run_table(spec: ExperimentSpec, pool) -> ExperimentResult:
-    """Binary search for the largest omega holding rate_fraction of capacity."""
+    """Binary search for the largest omega holding rate_fraction of capacity.
+
+    Every evaluation is one ``mean_rate(omega)`` call, which queues the
+    algorithm's one-call batch at ``omega`` and records (algorithm, omega,
+    rate) in ``extras["evals"]``, in the order the search makes them.
+    """
     cap = capacity(spec.cfg_data, spec.rho)
     threshold = spec.rate_fraction * cap
     summary = [("capacity_bits", "theory", cap)]
     evals = []
     for k, algo in enumerate(spec.algorithms):
         def mean_rate(omega):
-            ((s, _),) = _run_batch(spec, _batches(spec, omega)[k], pool)
-            return float(np.mean(s.rate))
+            ((rate, _),) = _mean_metrics(spec, _batches(spec, omega)[k], pool)
+            evals.append((algo, omega, rate))
+            return rate
 
         lo, hi = spec.omega_lo, spec.omega_hi
-        rate_hi = mean_rate(hi)
-        evals.append((algo, hi, rate_hi))
-        if rate_hi >= threshold:
+        if mean_rate(hi) >= threshold:
             best = hi
+        elif mean_rate(lo) < threshold:
+            best = float("nan")  # cannot hold the fraction even when static
         else:
-            rate_lo = mean_rate(lo)
-            evals.append((algo, lo, rate_lo))
-            if rate_lo < threshold:
-                best = float("nan")  # cannot hold the fraction even when static
-            else:
-                while hi - lo > spec.omega_tol:
-                    mid = 0.5 * (lo + hi)
-                    r = mean_rate(mid)
-                    evals.append((algo, mid, r))
-                    if r >= threshold:
-                        lo = mid
-                    else:
-                        hi = mid
-                best = lo
+            while hi - lo > spec.omega_tol:
+                mid = 0.5 * (lo + hi)
+                if mean_rate(mid) >= threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            best = lo
         deg_per_sec = best * spec.pilots_per_sec * 180.0 / math.pi
         summary.append(("max_omega_rad_per_slot", algo, best))
         summary.append(("max_velocity_deg_per_sec", algo, deg_per_sec))

@@ -525,6 +525,47 @@ class TestExperimentKinds:
         deg = summary_value(res, "max_velocity_deg_per_sec", "recursive")
         assert deg == pytest.approx(best * 5 * 180 / math.pi)
 
+    def test_max_velocity_search_is_a_bisection_over_simulate(self):
+        # the table's evaluations, in order, and its summary rows equal a
+        # bisection over harness.simulate: a rate >= the threshold at omega_hi
+        # or at a midpoint holds it, a rate < the threshold at omega_lo gives
+        # NaN.  The recursive tracker bisects; wlan holds it at neither end
+        spec = ExperimentSpec(
+            kind="max-velocity-table", m_data=8, n_slots=600, n_trials=30, seed=5,
+            omega_hi=0.2, omega_tol=0.01, algorithms=("recursive", "wlan"),
+        )
+        cap = capacity(spec.cfg_data, spec.rho)
+        threshold = spec.rate_fraction * cap
+        evals, summary = [], [("capacity_bits", "theory", cap)]
+
+        def holds(algo, omega):
+            series, _ = harness.simulate(spec, algo, spec.build_model(omega), spec.n_trials, spec.n_slots)
+            evals.append((algo, omega, float(np.mean(series.rate))))
+            return evals[-1][2] >= threshold
+
+        for algo in spec.algorithms:
+            lo, hi = spec.omega_lo, spec.omega_hi
+            if holds(algo, hi):
+                best = hi
+            else:
+                holds(algo, lo)
+                if not evals[-1][2] < threshold:
+                    while hi - lo > spec.omega_tol:
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if holds(algo, mid) else (lo, mid)
+                    best = lo
+                else:
+                    best = math.nan
+            summary += [("max_omega_rad_per_slot", algo, best),
+                        ("max_velocity_deg_per_sec", algo, best * spec.pilots_per_sec * 180.0 / math.pi)]
+
+        res = run_experiment(spec)
+        assert res.extras["evals"] == evals
+        assert [(a, w) for a, w, _ in evals].count(("recursive", 0.0)) == 1 and len(evals) == 9
+        assert math.isnan(summary[-1][2]) and not math.isnan(summary[1][2])
+        assert [row[:2] for row in res.summary] == [row[:2] for row in summary]
+        np.testing.assert_array_equal([row[2] for row in res.summary], [row[2] for row in summary])
+
     def test_init_rate_experiment(self):
         spec = ExperimentSpec(kind="init-success-rate", m_data=16, snr_db=10.0, n_trials=2000, seed=4)
         res = run_experiment(spec)
