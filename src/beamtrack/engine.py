@@ -16,8 +16,8 @@ A :class:`TrialSetup` states what every part of the chunk reads from it:
 trackers, the data array of the baselines); ``moving``, whether slot i's
 truth depends on i (:func:`dynamics.moving`); and ``warm``, the M/2
 soundings CS makes before slot 0 on a moving truth.  :func:`trial_bytes`
-counts, from the same properties and the stage-1 dictionary size m0, the
-bytes one trial adds to a chunk, which the harness's chunk budget reads.
+counts, from the same properties, the bytes one trial adds to a chunk,
+which the harness's chunk budget reads.
 
 Each algorithm is one ``step(i, x_n, w_n)`` closure over the chunk's state,
 defined in its branch of :func:`run_chunk`; one slot loop calls it and
@@ -291,7 +291,7 @@ class TrialSetup:
     def cfg(self) -> ArrayConfig:
         """The array the algorithm pilots: the tracking array of the two
         trackers, the data array of every baseline."""
-        return self.cfg_track if self.algorithm in ("recursive", "angular") else self.cfg_data
+        return self.cfg_data if self.algorithm in BASELINE_ALGORITHMS else self.cfg_track
 
     @property
     def moving(self) -> bool:
@@ -307,7 +307,7 @@ class TrialSetup:
 
 def trial_bytes(setup: TrialSetup) -> int:
     """Bytes of one trial's share of a :func:`run_chunk` chunk that grow
-    with n_slots, M^2 or m0.
+    with n_slots or M^2.
 
     * the true x of a moving truth drawn per trial (8 B a slot): a jittered
       sinusoid's rows, where :func:`dynamics.per_trial` holds.  A static
@@ -321,22 +321,21 @@ def trial_bytes(setup: TrialSetup) -> int:
       ``_CS_BLOCK`` trials at a time, so this overcounts a chunk of more
       trials;
     * for CS on a moving truth, the ring buffers of z and c over the last
-      M/2 soundings (M/2 x (2M - 1) x 16 B);
-    * stage 1's dictionary projection, where the coarse sweep sets x0
-      (``x0_mode="sweep"``): :func:`~beamtrack.trackers.initial_estimate`
-      holds the (m0, T) complex scores and their modulus at once (24 B per
-      dictionary entry).
+      M/2 soundings (M/2 x (2M - 1) x 16 B).
+
+    Stage 1's dictionary scores add nothing:
+    :func:`~beamtrack.trackers.initial_estimate` scores 2^19 // m0 trials at
+    a time, and the scores are freed before the slot loop.
 
     The M^2 terms come to 40*M^2 - 32*M B on a moving truth.  With
     tracemalloc, a moving CS chunk's peak grew by 42*M^2 and 41*M^2 B per
     trial from 32 to 64 trials at M = 64 and 128 (26*M^2 and 25*M^2 on a
-    static truth).  A 2048-trial recursive chunk at M = 16 peaked at 4.3 MB
-    with m0 = 32 and 204 MB with m0 = 4096, about 24*m0 B per trial.
+    static truth).  A 2048 x 20 recursive chunk at M = 16 peaked at 4.3 MB
+    with m0 = 32 and 21.1 MB with m0 = 4096 (204 MB with the (m0, T) scores
+    held at once).
     """
     m, warm = setup.cfg.num_antennas, setup.warm
     per_trial = 8 * setup.n_slots if setup.moving and dynamics.per_trial(setup.model) else 0
-    if setup.x0_mode == "sweep":
-        per_trial += 24 * setup.m0
     if setup.algorithm == "cs":
         per_trial += m * (warm + setup.n_slots) + 3 * 16 * (m * (m - 1) // 2) + warm * (2 * m - 1) * 16
     return per_trial

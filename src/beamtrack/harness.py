@@ -465,9 +465,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
 
     Deterministic for a given spec and seed regardless of ``workers``.  When
     ``out_dir`` is given, per-metric CSV series, a summary CSV, and
-    ``metadata.json`` are written there.  The metadata echoes the resolved
-    spec and records the run's provenance: the beamtrack, numpy and Python
-    versions, ``workers`` and each algorithm's chunk bounds.  A static or
+    ``metadata.json`` are written there.  The metadata echoes the spec as
+    given (``alpha``, ``m0``, ``schedule``, ``m_track``, ``stage1_snr_db``
+    and ``kf_q`` stay null when unset) and records the run's provenance:
+    the beamtrack, numpy and Python versions, ``workers`` and each
+    algorithm's chunk bounds.  A static or
     dynamic run also records each algorithm's ``health`` counters (see
     ``HEALTH_COUNTERS``).  It holds no time, so a spec, worker count and
     install always write the same bytes.

@@ -90,8 +90,15 @@ def initial_estimate(cfg: ArrayConfig, sweep_obs, m0: int):
 
     ``sweep_obs`` holds one observation per codebook beam: shape (M,) for one
     trial, or (T, M) for a block of trials.  Returns argmax over the
-    dictionary of |a(x)^H W y| per trial, a scalar or a (T,) array; ties break
-    toward the smallest dictionary entry.
+    dictionary of |a(x)^H W y| per trial, a scalar or a (T,) array.
+
+    Ties break toward the smallest dictionary entry: the pick is the
+    smallest entry whose score lies within a relative 1e-12 of the trial's
+    best.  The last bits of a matrix product can follow how many trials
+    share it, so ties compared exactly would make a trial's pick depend on
+    its chunk.  The trials are scored 2^19 // m0 at a time (at least one),
+    so a block holds at most max(2^19, m0) scores whatever the chunk's size;
+    a 2048-trial chunk at the default m0 = 2M is one block up to M = 128.
     """
     y = np.asarray(sweep_obs, dtype=complex)
     if y.ndim not in (1, 2) or y.shape[-1] != cfg.num_antennas:
@@ -99,5 +106,12 @@ def initial_estimate(cfg: ArrayConfig, sweep_obs, m0: int):
     if m0 < cfg.num_antennas:
         raise ValueError(f"m0 must be >= M, got {m0!r}")
     grid = initial_dictionary(m0)
-    scores = np.abs((steering_vector(cfg, grid).conj() @ sweep_matrix(cfg)) @ y.T)  # (M0,) or (M0, T)
-    return grid[np.argmax(scores, axis=0)]
+    project = steering_vector(cfg, grid).conj() @ sweep_matrix(cfg)  # (M0, M)
+    rows = np.atleast_2d(y)
+    picks = np.empty(len(rows))
+    step = max(1, 2**19 // m0)  # trials scored at once
+    for lo in range(0, len(rows), step):
+        scores = np.abs(project @ rows[lo:lo + step].T)  # (M0, B)
+        near_best = scores >= (1.0 - 1e-12) * scores.max(axis=0)
+        picks[lo:lo + step] = grid[np.argmax(near_best, axis=0)]
+    return picks if y.ndim == 2 else picks[0]

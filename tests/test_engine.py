@@ -108,14 +108,18 @@ class TestChunkInvariance:
 
     @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
     @pytest.mark.parametrize(
-        "model",
-        [dynamics.Static(None), dynamics.Static(0.35), dynamics.FixedVelocity(0.01, theta0=0.3),
-         dynamics.SinusoidJitter(period=50)],
-        ids=["uniform", "static", "fixed-velocity", "sinusoid"],
+        "truth",
+        [dict(model=dynamics.Static(None)), dict(model=dynamics.Static(0.35)),
+         dict(model=dynamics.FixedVelocity(0.01, theta0=0.3)), dict(model=dynamics.SinusoidJitter(period=50)),
+         dict(model=dynamics.Static(0.0), no_noise=True)],
+        ids=["uniform", "static", "fixed-velocity", "sinusoid", "no-noise-tie"],
     )
-    def test_trial_content_independent_of_chunking(self, algorithm, model):
-        # every per-trial extra of a trial is the same whichever chunk holds it
-        setup = base_setup(algorithm=algorithm, model=model, n_slots=40)
+    def test_trial_content_independent_of_chunking(self, algorithm, truth):
+        # every per-trial extra of a trial is the same whichever chunk holds
+        # it.  Without noise, x = 0 scores the dictionary entries +-1/16
+        # equally; the stage-1 pick must not follow the last bits of a
+        # product whose rows are the chunk's trials
+        setup = base_setup(algorithm=algorithm, n_slots=40, **truth)
         whole = run_chunk(setup, 0, 40).extras
         parts = [run_chunk(setup, lo, hi).extras
                  for lo, hi in ((0, 7), (7, 8), (8, 33), (33, 40))]
@@ -406,7 +410,7 @@ class TestChunkMemory:
         block = 2048 * (engine._NOISE_BLOCK // 2048 + 1) * 16
         for model in (dynamics.Static(0.35), dynamics.SinusoidJitter(jitter_std=0.0, period=50)):
             setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000, model=model)
-            assert engine.trial_bytes(setup) == 24 * 32  # stage 1's projection; the truth adds nothing
+            assert engine.trial_bytes(setup) == 0  # the truth adds nothing; stage 1 bounds its own scores
             tracemalloc.start()
             try:
                 run_chunk(setup, 0, 2048)
@@ -414,6 +418,19 @@ class TestChunkMemory:
             finally:
                 tracemalloc.stop()
             assert peak - block < 3e6, model
+
+    def test_stage1_scores_a_bounded_block_at_a_large_dictionary(self):
+        # a 2048 x 20 chunk at m0 = 4096 peaked at 204 MB with its (m0, T)
+        # scores held at once; scored 128 trials at a time it read 21.1 MB
+        cfg = ArrayConfig(16, 0.5)
+        setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=4096, n_slots=20)
+        tracemalloc.start()
+        try:
+            run_chunk(setup, 0, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     @staticmethod
     def peak_growth_per_trial(setup, n_trials):

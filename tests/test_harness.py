@@ -262,11 +262,13 @@ class TestChunking:
         assert chunk_size("recursive", 200, model, 512) == 2048
 
     def test_budget_counts_the_stage1_projection(self):
-        # stage 1 holds an (m0, T) complex projection and its modulus, 24*m0
-        # B a trial: 3.2 GB for a 2048-trial chunk at m0 = 2**16
+        # stage 1 scores the dictionary in blocks of 2**19 // m0 trials and
+        # frees them before the slot loop, so a large m0 keeps full chunks
+        # (held at once, its scores took 3.2 GB a 2048-trial chunk at
+        # m0 = 2**16, and the budget cut the chunk to 128 trials)
         model = dynamics.Static(None)
-        assert chunk_size("recursive", 20, model, 16, m0=2**13) == 1024
-        assert chunk_size("recursive", 20, model, 16, m0=2**16) == 128
+        assert chunk_size("recursive", 20, model, 16, m0=2**13) == 2048
+        assert chunk_size("recursive", 20, model, 16, m0=2**16) == 2048
         assert chunk_size("cs", 20, model, 16, m0=2**16) == 128
         spec = ExperimentSpec(kind="static-convergence", m_data=16, m0=2**16)
         fixed = _trial_setup(spec, "recursive", model, 20, x0_mode="fixed", x0_value=0.0)
