@@ -469,10 +469,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None, workers: in
     given (``alpha``, ``m0``, ``schedule``, ``m_track``, ``stage1_snr_db``
     and ``kf_q`` stay null when unset) and records the run's provenance:
     the beamtrack, numpy and Python versions, ``workers`` and each
-    algorithm's chunk bounds.  A static or
-    dynamic run also records each algorithm's ``health`` counters (see
-    ``HEALTH_COUNTERS``).  It holds no time, so a spec, worker count and
-    install always write the same bytes.
+    algorithm's chunk bounds.  A static or dynamic run also records each
+    algorithm's ``health`` counters (see ``HEALTH_COUNTERS``).  It holds no
+    time, so a spec, worker count and install always write the same bytes.
 
     With ``workers > 1`` and more than one chunk in its largest batch (see
     ``_batches``), the run opens one process pool of at most ``min(workers,

@@ -540,31 +540,29 @@ class TestExperimentKinds:
         threshold = spec.rate_fraction * cap
         evals, summary = [], [("capacity_bits", "theory", cap)]
 
-        def holds(algo, omega):
+        def rate(algo, omega):
             series, _ = harness.simulate(spec, algo, spec.build_model(omega), spec.n_trials, spec.n_slots)
             evals.append((algo, omega, float(np.mean(series.rate))))
-            return evals[-1][2] >= threshold
+            return evals[-1][2]
 
         for algo in spec.algorithms:
             lo, hi = spec.omega_lo, spec.omega_hi
-            if holds(algo, hi):
+            if rate(algo, hi) >= threshold:
                 best = hi
+            elif rate(algo, lo) < threshold:
+                best = math.nan
             else:
-                holds(algo, lo)
-                if not evals[-1][2] < threshold:
-                    while hi - lo > spec.omega_tol:
-                        mid = 0.5 * (lo + hi)
-                        lo, hi = (mid, hi) if holds(algo, mid) else (lo, mid)
-                    best = lo
-                else:
-                    best = math.nan
+                while hi - lo > spec.omega_tol:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if rate(algo, mid) >= threshold else (lo, mid)
+                best = lo
             summary += [("max_omega_rad_per_slot", algo, best),
                         ("max_velocity_deg_per_sec", algo, best * spec.pilots_per_sec * 180.0 / math.pi)]
 
         res = run_experiment(spec)
         assert res.extras["evals"] == evals
-        assert [(a, w) for a, w, _ in evals].count(("recursive", 0.0)) == 1 and len(evals) == 9
-        assert math.isnan(summary[-1][2]) and not math.isnan(summary[1][2])
+        assert [a for a, _, _ in evals] == ["recursive"] * 7 + ["wlan"] * 2
+        assert not math.isnan(summary[1][2]) and math.isnan(summary[-1][2])
         assert [row[:2] for row in res.summary] == [row[:2] for row in summary]
         np.testing.assert_array_equal([row[2] for row in res.summary], [row[2] for row in summary])
 
