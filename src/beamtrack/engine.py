@@ -59,20 +59,23 @@ once per distinct truth.  The receiver noise of the stage-1 sweep and the
 CS warm-up is one (T, M + warm-up) complex block; the tracking noise is
 drawn K slots at a time into one reused (T, K) block, K = min(n,
 ``_NOISE_BLOCK`` // T), and the slot loop hands each step its column
-``w_n``.  Each block is scaled in place to its SNR, so a chunk's noise
-memory does not grow with n (all zeros in no-noise mode).  The tracking
-block is allocated only after stage 1 and the algorithm's set-up, once the
-head block and the sweep's observations are freed, so neither they nor
-stage 1's temporaries sit beside it: a 2048 x 2000 static chunk's traced
-peak fell from 12.7 to 10.6 MB, against an 8.4 MB tracking block.  The
-block is the first K columns of a (T, K + 1) array.  Without that padding
-sample a row is K*16 B, a power of two times 4 KiB at the usual chunk sizes
-(4 KiB at T = 2048; 16 and 64 KiB at T = 512 and 128 once n >= K), so a
-column's T samples fall into a few cache sets: at T = 2048 the two
-operations of the update that read ``w_n`` took 24 us per slot at a 4096 B
-row stride and 9.7 us at 4112 B (AVX-512 Xeon).  Each block is scaled
-through the contiguous padded array: 0.42 ms, against 1.09 ms through the
-strided view.
+``w_n``.  The two trackers read only the noise's imaginary part, so their
+block is float64 and holds just that (:func:`draw_noise`); the baselines'
+block is complex.  Each block is scaled in place to its SNR, so a chunk's
+noise memory does not grow with n (all zeros in no-noise mode).  The
+tracking block is allocated only after stage 1 and the algorithm's set-up,
+once the head block and the sweep's observations are freed, so neither they
+nor stage 1's temporaries sit beside it: a 2048 x 2000 static chunk's traced
+peak fell from 12.7 to 10.6 MB, against an 8.4 MB complex tracking block,
+and the trackers' 4.2 MB real block took it to 6.3 MB.  The block is the
+first K columns of a (T, K + 1) array.  Without that padding sample a
+complex row is K*16 B, a power of two times 4 KiB at the usual chunk sizes
+(4 KiB at T = 2048; 16 and 64 KiB at T = 512 and 128 once n >= K), and a
+real row half that, so a column's T samples fall into a few cache sets: at
+T = 2048 the two operations of the update that read ``w_n`` took 24 us per
+slot at a 4096 B row stride and 9.7 us at 4112 B (AVX-512 Xeon).  Each
+block is scaled through the contiguous padded array: a complex one in
+0.42 ms, against 1.09 ms through the strided view.
 
 Reproducibility contract: trial ``t`` owns three child streams of
 ``SeedSequence([base_seed, t])``: trajectory (kind 0), observation noise
@@ -86,9 +89,9 @@ numpy's own.  A chunk builds only the children it reads: trajectory
 children where :func:`dynamics.per_trial` holds (a uniform-x or jittered
 truth), noise children when noise is on, algorithm children for CS.  Within
 each stream, draws occur in a canonical order (stage-1 sweep noise first,
-then one complex sample per slot), and a stream drawn in pieces continues
-where it stopped, so results are independent of chunk boundaries, noise
-block size and worker count.
+then one complex sample per slot, of which the trackers keep the imaginary
+part), and a stream drawn in pieces continues where it stopped, so results
+are independent of chunk boundaries, noise block size and worker count.
 """
 
 from __future__ import annotations
@@ -133,8 +136,10 @@ _CS_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # two of 64 rows, and CsScorer.pick over 128 trials 736 us against 749-783 us
 # at B = 32
 _CS_BLOCK = 64
-# complex samples in one chunk's tracking-noise block (8 MB): T trials hold
-# min(n, _NOISE_BLOCK // T) slots of noise at a time, plus one padding sample
+# samples in one chunk's tracking-noise block: T trials hold
+# min(n, _NOISE_BLOCK // T) slots of noise at a time, plus one padding
+# sample.  The baselines' samples are complex (8 MB), the two trackers' the
+# imaginary parts alone (4 MB)
 _NOISE_BLOCK = 2**19
 
 # child streams of SeedSequence([base_seed, t]), by spawn key
@@ -434,10 +439,20 @@ def trial_streams(base_seed: int, trials: Sequence[int], kind: int) -> list[np.r
 
 
 def draw_noise(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
-    """Fill the complex (T, k) ``out``: row t is the next k samples re + 1j*im
-    of ``rngs[t]``, drawn as interleaved (re, im) standard normals."""
+    """Fill the (T, k) ``out`` with the next k samples of each ``rngs[t]``,
+    drawn as interleaved (re, im) standard normals.
+
+    A complex ``out`` gets re + 1j*im; a real ``out`` gets im alone, each
+    row's 2k normals drawn into one reused scratch.  Either way a stream
+    advances by 2k normals, so the samples that follow are the same.
+    """
+    if np.iscomplexobj(out):
+        for row, r in zip(out, rngs):
+            r.standard_normal(out=row.view(np.float64))
+        return out
+    pairs = np.empty((out.shape[1], 2))
     for row, r in zip(out, rngs):
-        r.standard_normal(out=row.view(np.float64))
+        row[:] = r.standard_normal(out=pairs)[:, 1]
     return out
 
 
@@ -545,12 +560,13 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     im_y = np.empty(n_trials)
 
     def observe_im(i, v, x_n, w_n):
-        """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + Im w_n, in
-        ``im_y``; D is evaluated afresh or read as slot i - 1's metrics left it."""
+        """Im of slot i's pilot, Im D_M(phi*(v - x_n))/sqrt(M) + w_n, in
+        ``im_y``, where w_n is the noise's imaginary part; D is evaluated
+        afresh or read as slot i - 1's metrics left it."""
         if i == 0 or not reuse:
             dirichlet_parts(cfg, v, x_n, kernel)
         np.multiply(im_d, inv_sqrt_m, out=im_y)
-        return np.add(im_y, w_n.imag, out=im_y)
+        return np.add(im_y, w_n, out=im_y)
 
     # LS and CS read the truth's steering vectors: a static truth's are built
     # once for the chunk, a moving truth's every slot
@@ -586,7 +602,10 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
 
     elif setup.algorithm == "ls":
         wt = sweep_matrix(cfg)
-        buf = beta * sweep_obs  # warm start: stage-1 sweep is one full probe cycle
+        # warm start: stage-1 sweep is one full probe cycle.  A lone trial is
+        # carried as two equal rows: numpy forms a one-row product on its
+        # vector-matrix path, whose bits differ from a row of a larger chunk's
+        buf = beta * np.broadcast_to(sweep_obs, (max(n_trials, 2), m))
         counts = np.ones(m)
         accumulate = not setup.moving  # static mode averages every sweep
 
@@ -598,7 +617,7 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
                 counts[j] += 1.0
             else:
                 buf[:, j] = r_new
-            h_hat = (buf / counts) @ wt.T
+            h_hat = ((buf / counts) @ wt.T)[:n_trials]
             write_channel_metrics(values, h_hat, truth_vectors(x_n), beta, rho)
             return None
 
@@ -678,8 +697,9 @@ def run_chunk(setup: TrialSetup, trial_lo: int, trial_hi: int) -> ChunkResult:
     del head, sweep_noise, warm_noise, sweep_obs
     k_block = min(n, max(1, _NOISE_BLOCK // n_trials))
     # one padding sample per row, so a slot's column does not step a power
-    # of two times 4 KiB from trial to trial (see the module docstring)
-    padded = np.zeros((n_trials, k_block + 1), dtype=complex)
+    # of two times 4 KiB from trial to trial (see the module docstring).  The
+    # two trackers read only the noise's imaginary part, so they keep that
+    padded = np.zeros((n_trials, k_block + 1), dtype=complex if setup.algorithm in BASELINE_ALGORITHMS else float)
     noise = padded[:, :k_block]
 
     x_hat = np.full(n_trials, np.nan)

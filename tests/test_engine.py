@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from beamtrack import dynamics, engine
 from beamtrack.arrays import ArrayConfig
 from beamtrack.engine import TrialSetup, run_chunk
-from beamtrack.metrics import METRIC_NAMES, slot_metrics
+from beamtrack.metrics import METRIC_NAMES, SlotStats, slot_metrics
 from beamtrack.trackers import DiminishingStep, FixedStep, alpha_star
 
 import reference
@@ -128,6 +128,35 @@ class TestChunkInvariance:
             joined = np.concatenate([part[key] for part in parts])
             assert np.array_equal(joined, whole[key], equal_nan=joined.dtype.kind == "f"), key
 
+    @staticmethod
+    def slot_blocks(monkeypatch, setup, trial_lo, trial_hi):
+        """(n_slots, len(METRIC_NAMES), T): the metric block that
+        SlotStats.record receives at each slot of the chunk."""
+        blocks = []
+        record = SlotStats.record
+
+        def recording(stats, i, block):
+            blocks.append(block.copy())
+            record(stats, i, block)
+
+        monkeypatch.setattr(SlotStats, "record", recording)
+        run_chunk(setup, trial_lo, trial_hi)
+        return np.stack(blocks)
+
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize("model", [dynamics.Static(None), dynamics.SinusoidJitter(period=50)],
+                             ids=["uniform", "sinusoid"])
+    def test_one_trial_chunk_replays_every_slot(self, monkeypatch, algorithm, model):
+        # run_chunk(setup, t, t + 1) replays trial t's metrics slot by slot,
+        # not only its extras.  Least squares formed a one-row channel
+        # product on numpy's vector-matrix path, whose bits differ from a
+        # row of the matrix product: 31 (uniform) and 28 (sinusoid) of the
+        # 40 slots differed
+        setup = base_setup(algorithm=algorithm, model=model, n_slots=40, base_seed=3)
+        whole = self.slot_blocks(monkeypatch, setup, 0, 40)[:, :, 7]
+        alone = self.slot_blocks(monkeypatch, setup, 7, 8)[:, :, 0]
+        assert np.array_equal(alone, whole, equal_nan=True)
+
 
 class TestSlotMetrics:
     @pytest.mark.parametrize("algorithm", [a for a in engine.ALGORITHMS if a != "ls"])
@@ -186,6 +215,24 @@ class TestNoiseDraw:
         block = np.zeros((3, 6), complex)
         pieces = [engine.draw_noise(rngs, block[:, : total - lo]).copy() for lo in range(0, total, 6)]
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+    def test_real_rows_are_the_imaginary_normals(self):
+        # a real block keeps the odd entries of each row's interleaved draw
+        total = 41
+        block = engine.draw_noise(engine.trial_streams(7, range(3), engine.NOISE), np.zeros((3, total)))
+        for t, rng in enumerate(engine.trial_streams(7, range(3), engine.NOISE)):
+            raw = rng.standard_normal((total, 2))
+            np.testing.assert_array_equal(block[t], raw[:, 1])
+
+    def test_real_block_drawn_in_pieces_is_the_complex_draw(self):
+        # each real piece advances the stream by its 2k normals, as a complex
+        # piece does: the pieces are the imaginary parts of one complex draw
+        total = 41
+        whole = engine.draw_noise(engine.trial_streams(7, range(3), engine.NOISE), np.zeros((3, total), complex))
+        rngs = engine.trial_streams(7, range(3), engine.NOISE)
+        block = np.zeros((3, 6))
+        pieces = [engine.draw_noise(rngs, block[:, : total - lo]).copy() for lo in range(0, total, 6)]
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole.imag)
 
 
 class TestNoiseBlocks:
@@ -358,9 +405,9 @@ class TestChunkMemory:
     @pytest.mark.parametrize("n_slots", [2000, 10_000])
     def test_noise_memory_does_not_grow_with_slots(self, n_slots):
         # the tracking noise is one reused block of engine._NOISE_BLOCK
-        # samples (8.4 MB with its padding), so a 2048-trial chunk peaks at
-        # about 10.6 MB at 2000 slots and 11.1 MB at 10,000, where the
-        # per-slot statistics have grown
+        # samples (4.2 MB of imaginary parts with its padding), so a
+        # 2048-trial chunk peaks at about 6.3 MB at 2000 slots and 6.9 MB at
+        # 10,000, where the per-slot statistics have grown
         cfg = ArrayConfig(16, 0.5)
         setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=n_slots)
         tracemalloc.start()
@@ -401,13 +448,14 @@ class TestChunkMemory:
         assert live_at_block == [[False, False]]
 
     def test_static_chunk_peaks_near_its_noise_block(self):
-        # a 2048 x 2000 static chunk: the noise block is 8.42 MB and the
-        # traced peak 10.55 MB; with the stage-1 buffers and the sweep's
-        # temporaries beside the block it read 12.68 MB.  An unjittered
-        # sinusoid is one (n,) row that every trial shares: built as T
-        # identical rows it peaked at 43.3 MB
+        # a 2048 x 2000 static chunk: the tracker's noise block holds 8 B
+        # samples, 4.21 MB, and the traced peak is 6.34 MB.  With complex
+        # samples it read 8.42 and 10.55 MB, and with the stage-1 buffers
+        # and the sweep's temporaries beside that block 12.68 MB.  An
+        # unjittered sinusoid is one (n,) row that every trial shares: built
+        # as T identical rows it peaked at 43.3 MB
         cfg = ArrayConfig(16, 0.5)
-        block = 2048 * (engine._NOISE_BLOCK // 2048 + 1) * 16
+        block = 2048 * (engine._NOISE_BLOCK // 2048 + 1) * 8
         for model in (dynamics.Static(0.35), dynamics.SinusoidJitter(jitter_std=0.0, period=50)):
             setup = base_setup(cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000, model=model)
             assert engine.trial_bytes(setup) == 0  # the truth adds nothing; stage 1 bounds its own scores
@@ -418,6 +466,23 @@ class TestChunkMemory:
             finally:
                 tracemalloc.stop()
             assert peak - block < 3e6, model
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "angular"])
+    def test_tracker_keeps_only_the_imaginary_noise(self, algorithm):
+        # the trackers read only the noise's imaginary part and draw it into
+        # a float64 block: a 2048 x 2000 chunk traced 10.55 MB (recursive)
+        # and 10.58 MB (angular) with the complex block, 6.34 and 6.37 MB
+        # with the real one
+        cfg = ArrayConfig(16, 0.5)
+        setup = base_setup(algorithm=algorithm, cfg_track=cfg, cfg_data=cfg, m0=32, n_slots=2000,
+                           model=dynamics.Static(None))
+        tracemalloc.start()
+        try:
+            run_chunk(setup, 0, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6
 
     def test_stage1_scores_a_bounded_block_at_a_large_dictionary(self):
         # a 2048 x 20 chunk at m0 = 4096 peaked at 204 MB with its (m0, T)
